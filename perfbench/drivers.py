@@ -71,7 +71,7 @@ class PassResult:
     tickets: list = field(default_factory=list)
     #: FTL garbage-collection runs during the measured phase.
     gc_runs: int = 0
-    #: Serve path: bytes of every measured reply line.
+    #: Serve path, traced pass: bytes of every measured reply line.
     reply_bytes: int = 0
     #: Serve path: seconds from the common start to each client's last
     #: reply (shows whether the clients overlapped throughout).
@@ -198,7 +198,12 @@ def run_serve(db, plans, answers, tracer=None, writer_model=None) -> PassResult:
             for statement in plan.measured:
                 start = perf_counter()
                 reply = conn.sql(statement.sql)
-                log.append((statement, perf_counter() - start, reply))
+                latency = perf_counter() - start
+                # Judge now, keep only the verdict: retained replies
+                # would grow the heap and with it every GC pause.
+                log.append((statement, latency, _judge(
+                    statement, reply, answers, writer_model, tracer is not None
+                )))
             ends[plan.name] = perf_counter()
             conn.bye()
             conn = None
@@ -242,26 +247,35 @@ def run_serve(db, plans, answers, tracer=None, writer_model=None) -> PassResult:
     out.results = [t.result for t in out.tickets if t.error is None]
 
     for plan in plans:
-        for statement, latency, reply in replies[plan.name]:
+        for statement, latency, (kind, note, size) in replies[plan.name]:
             record = StatementRecord(
                 plan.name, statement.family, statement.write is not None, latency
             )
             out.records.append(record)
-            out.reply_bytes += len(json.dumps(reply)) + 1
-            if not reply.get("ok"):
-                out.fail(record, classify_kind(reply.get("kind", "")),
-                         f"{reply.get('kind')}: {reply.get('error')}")
-                continue
-            if statement.write is not None:
-                want = writer_model.apply(statement.write)
-                got = (reply.get("matched"), reply.get("changed"))
-                if got != want:
-                    out.fail(record, "wrong_rows", f"matched/changed {got} != {want}")
+            out.reply_bytes += size
+            if kind is not None:
+                out.fail(record, kind, note)
+                if kind == "wrong_rows":
                     out.wrong.append(statement.family)
-            elif row_multiset(reply["rows"]) != answers[statement.sql]:
-                out.fail(record, "wrong_rows", f"{reply.get('row_count')} rows")
-                out.wrong.append(statement.family)
     return out
+
+
+def _judge(statement, reply, answers, writer_model, count_bytes: bool):
+    """``(failure kind or None, note, reply bytes)`` of one wire reply.
+    Reply bytes are counted only when asked (the traced pass), since
+    re-encoding the reply costs client time."""
+    size = len(json.dumps(reply)) + 1 if count_bytes else 0
+    if not reply.get("ok"):
+        note = f"{reply.get('kind')}: {reply.get('error')}"
+        return classify_kind(reply.get("kind", "")), note, size
+    if statement.write is not None:
+        want = writer_model.apply(statement.write)
+        got = (reply.get("matched"), reply.get("changed"))
+        if got != want:
+            return "wrong_rows", f"matched/changed {got} != {want}", size
+    elif row_multiset(reply["rows"]) != answers[statement.sql]:
+        return "wrong_rows", f"{reply.get('row_count')} rows", size
+    return None, "", size
 
 
 def client_mean_latencies(records) -> list[float]:

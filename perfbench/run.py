@@ -168,6 +168,7 @@ def end_to_end(run: Run, result) -> tuple[dict, list[str]]:
     metrics = {
         "throughput_qps": ((n - result.failed) / result.wall_s, "1/s"),
         "query_p50_ms": (percentile(reads, 0.50), "ms"),
+        "query_p90_ms": (percentile(reads, 0.90), "ms"),
         "query_p99_ms": (percentile(reads, 0.99), "ms"),
         "sim_ms_per_stmt": (math.fsum(sims) / max(1, len(sims)) * 1e3, "ms"),
         "usb_bytes_per_stmt": (result.usb_bytes / n, "B"),
