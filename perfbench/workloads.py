@@ -229,7 +229,7 @@ WORKLOADS = {
             ),
             scale=2_000,
             served=True,
-            reads_per_second=40.0,
+            reads_per_second=80.0,
         ),
         Workload(
             name="serve-write-mix",
@@ -239,8 +239,8 @@ WORKLOADS = {
             ),
             scale=2_000,
             served=True,
-            reads_per_second=26.0,
-            writes_per_second=4.0,
+            reads_per_second=40.0,
+            writes_per_second=6.0,
             deterministic=False,
         ),
     )
