@@ -1,10 +1,10 @@
-"""Closed-loop drivers: build a device, run a workload pass, collect.
+"""Closed-loop passes: build a device, run a workload pass, collect.
 
 A *pass* sets up one device, runs every client's warm-up statements,
 then the measured statements, and returns a :class:`PassResult` holding
 host latencies and the program's own per-statement measurements
 (``ExecutionMetrics``, ``OperatorStats``, ``QueryTicket``).  The console
-driver calls ``GhostDB.query``/``execute`` directly; the serve driver
+pass calls ``GhostDB.query``/``execute`` directly; the serve pass
 talks to an in-process ``start_server`` through ``ServeClient`` over
 TCP, one thread per client, each sending its next statement only after
 the previous reply arrived.

@@ -87,7 +87,7 @@ class Run:
         self.answers = None
 
     def build(self):
-        from drivers import build
+        from passes import build
 
         gc.collect()
         db, data, seconds = build(self.workload)
@@ -97,7 +97,7 @@ class Run:
     def run_pass(self, tracer=None):
         """Set up a fresh device and run every client's plan on it."""
         from check import WriterModel, leak_check, reference_answers
-        from drivers import run_console, run_serve
+        from passes import run_console, run_serve
 
         db, data = self.build()
         if self.answers is None:
@@ -204,7 +204,7 @@ def end_to_end(run: Run, result) -> tuple[dict, list[str]]:
 
 def per_layer(run: Run, untraced, traced, tracer) -> dict:
     """Per-layer metrics of the traced pass, per measured statement."""
-    from drivers import client_mean_latencies
+    from passes import client_mean_latencies
     from repro.core.scheduler import jain_index
     from repro.engine.executor import DmlResult
 
