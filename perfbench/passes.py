@@ -7,13 +7,16 @@ host latencies and the program's own per-statement measurements
 pass calls ``GhostDB.query``/``execute`` directly; the serve pass
 talks to an in-process ``start_server`` through ``ServeClient`` over
 TCP, one thread per client, each sending its next statement only after
-the previous reply arrived.
+the previous reply arrived.  On a workload with a writer the pump takes
+its commands through a :class:`Lockstep` gate, so that which reads run
+beside which writes depends on the seed alone.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import queue
 import socket
 import threading
 from collections import Counter, defaultdict
@@ -98,6 +101,7 @@ class PassResult:
             "sim_seconds": math.fsum(sims),
             "usb_bytes": self.usb_bytes,
             "flash_page_reads": sum(r.metrics.flash_page_reads for r in self.results),
+            "failures": dict(sorted(self.failures.items())),
         }
         if counts is not None:
             out["chip_charges"] = counts.get("hw.chip_charges", 0)
@@ -162,11 +166,101 @@ def run_console(db, plan, answers, tracer=None) -> PassResult:
     return out
 
 
+class _Wake:
+    """A ``noop`` command for the pump that nobody waits on."""
+
+    op = "noop"
+    payload: dict = {}
+
+    def resolve(self, reply: dict) -> None:
+        pass
+
+
+class Lockstep:
+    """Command queue for the serve pump that releases SQL in rounds.
+
+    Once :meth:`begin` names the clients, an SQL command is held until
+    every client still running has one pending; the round is then
+    handed to the pump in client-name order.  The pump submits a round
+    to one ``Scheduler.run``, which interleaves its statements at batch
+    windows on the simulated clock.  So the reads that run beside each
+    write, and the windows they share, are fixed by the seed instead of
+    by which socket thread the host ran first.  Every other command
+    (hello, bye, the pump's stop ``noop``), and everything before
+    :meth:`begin`, passes straight through in arrival order.
+
+    It offers the three calls ``GhostDBServer`` makes on its
+    ``commands`` queue: ``put``, ``get`` and ``get_nowait``.
+    """
+
+    def __init__(self):
+        self._cond = threading.Condition()
+        self._pending: list = []
+        self._release: list = []
+        self._live: set[str] | None = None
+
+    def install(self, ghost) -> None:
+        """Replace ``ghost.commands``.  The pump re-reads the attribute
+        on every loop; a wake-up on the old queue moves it over if it is
+        already blocked there."""
+        old, ghost.commands = ghost.commands, self
+        old.put(_Wake())
+
+    def begin(self, clients) -> None:
+        with self._cond:
+            self._live = set(clients)
+            self._cond.notify_all()
+
+    def leave(self, client: str) -> None:
+        """``client`` sends no more SQL; later rounds go without it."""
+        with self._cond:
+            if self._live is not None:
+                self._live.discard(client)
+            self._cond.notify_all()
+
+    def put(self, command) -> None:
+        with self._cond:
+            self._pending.append(command)
+            self._cond.notify_all()
+
+    def get(self):
+        with self._cond:
+            while not self._fill():
+                self._cond.wait()
+            return self._release.pop(0)
+
+    def get_nowait(self):
+        """The rest of the current round, then ``queue.Empty``."""
+        with self._cond:
+            if not self._release:
+                raise queue.Empty
+            return self._release.pop(0)
+
+    def _fill(self) -> bool:
+        if self._release:
+            return True
+        if self._live is None:
+            self._release, self._pending = self._pending, []
+            return bool(self._release)
+        admin = [c for c in self._pending if c.op != "sql"]
+        sql = [c for c in self._pending if c.op == "sql"]
+        if admin:
+            self._release, self._pending = admin, sql
+            return True
+        waiting = {c.payload.get("session") for c in sql}
+        if sql and self._live <= waiting:
+            self._release = sorted(sql, key=lambda c: c.payload.get("session"))
+            self._pending = []
+            return True
+        return False
+
+
 def run_serve(db, plans, answers, tracer=None, writer_model=None) -> PassResult:
     """Closed-loop TCP clients on an in-process ``serve``, one thread
     each.  Every client says hello (a quarter-RAM lease), runs its
-    warm-up, waits for the others, then sends its measured statements.
-    The measured wall runs from the common start to the last reply."""
+    warm-up, waits for the others, then sends its measured statements,
+    in :class:`Lockstep` rounds when one client is a writer.  The
+    measured wall runs from the common start to the last reply."""
     from repro.serve import ServeClient, shutdown_server, start_server
 
     out = PassResult()
@@ -174,6 +268,9 @@ def run_serve(db, plans, answers, tracer=None, writer_model=None) -> PassResult:
     # barrier wait gives up after this long.
     socket.setdefaulttimeout(STALL_SECONDS)
     tcp, ghost = start_server(db, port=0)
+    gate = Lockstep() if writer_model is not None else None
+    if gate is not None:
+        gate.install(ghost)
     host, port = tcp.server_address
     ram = db.profile.ram_bytes // 4
     ready = threading.Barrier(len(plans) + 1, timeout=STALL_SECONDS)
@@ -205,12 +302,16 @@ def run_serve(db, plans, answers, tracer=None, writer_model=None) -> PassResult:
                     statement, reply, answers, writer_model, tracer is not None
                 )))
             ends[plan.name] = perf_counter()
+            if gate is not None:
+                gate.leave(plan.name)
             conn.bye()
             conn = None
         except Exception as exc:  # noqa: BLE001 - reported, run fails
             errors.append(f"{plan.name}: {type(exc).__name__}: {exc}")
             ready.abort()
             go.abort()
+            if gate is not None:
+                gate.leave(plan.name)
         finally:
             if conn is not None:
                 conn.close()
@@ -229,6 +330,8 @@ def run_serve(db, plans, answers, tracer=None, writer_model=None) -> PassResult:
             gc_mark = db.device.ftl.stats.gc_runs
             if tracer is not None:
                 tracer.reset()
+            if gate is not None:
+                gate.begin(plan.name for plan in plans)
             go.wait()
         except threading.BrokenBarrierError:
             errors.append("clients did not reach the start together")

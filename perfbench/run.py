@@ -394,14 +394,13 @@ def main(argv=None) -> int:
         tracer.write_spans(span_file)
         metrics = per_layer(run, untraced, traced, tracer)
         notes = [f"spans written to {os.path.relpath(span_file, ROOT)}"]
-        if run.workload.deterministic:
-            run.check_same("untraced vs traced", untraced.fingerprint(),
-                           traced.fingerprint())
-            counts = tracer.counts()
-            again_tracer = LayerTracer()
-            again = run.run_pass(again_tracer)
-            run.check_same("traced replay", traced.fingerprint(counts),
-                           again.fingerprint(again_tracer.counts()))
+        run.check_same("untraced vs traced", untraced.fingerprint(),
+                       traced.fingerprint())
+        counts = tracer.counts()
+        again_tracer = LayerTracer()
+        again = run.run_pass(again_tracer)
+        run.check_same("traced replay", traced.fingerprint(counts),
+                       again.fingerprint(again_tracer.counts()))
         notes.extend(f"zero by design: {why}" for why in idle_layers(run.workload))
         notes.append(
             f"tracing overhead: traced {traced.wall_s:.3f} s - untraced "

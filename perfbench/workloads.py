@@ -167,9 +167,6 @@ class Workload:
     #: always do identical work however fast they run.
     reads_per_second: float
     writes_per_second: float = 0.0
-    #: Whether same-seed runs must agree bit for bit on simulated
-    #: counts (false when reads race writes, by design).
-    deterministic: bool = True
 
     def clients(self, seed: int, seconds: int) -> list[ClientPlan]:
         """The seeded statement plan of every client."""
@@ -241,7 +238,6 @@ WORKLOADS = {
             served=True,
             reads_per_second=40.0,
             writes_per_second=6.0,
-            deterministic=False,
         ),
     )
 }
