@@ -1,4 +1,4 @@
-"""Benchmark regression harness: runner, comparator, scorecard.
+"""Benchmark regression harness: scenarios, runner, artifact, scorecard.
 
 The benchmark suite under ``benchmarks/`` reproduces the paper's figures
 and tables interactively; this package makes the same measurements a
@@ -9,10 +9,11 @@ and tables interactively; this package makes the same measurements a
 * :mod:`repro.bench.runner` -- ``python -m repro bench``: runs every
   scenario, writes one schema-versioned, redacted, leak-checked
   ``BENCH_<date>.json`` artifact;
-* :mod:`repro.bench.artifact` -- the artifact layout, its redaction
-  gate and the list of gated (deterministic) metrics;
-* :mod:`repro.bench.compare` -- diffs a run against the committed
-  ``benchmarks/baseline.json`` and fails on cost regressions;
+* :mod:`repro.bench.artifact` -- the artifact layout and its
+  :data:`~repro.bench.artifact.BENCH` declaration: redaction allow-list
+  and gate table (the gated, deterministic metrics, signatures,
+  fairness floor, recorder budget) that :func:`repro.artifacts.compare`
+  evaluates against the committed ``benchmarks/baseline.json``;
 * :mod:`repro.bench.scorecard` -- the T9 estimate-quality table
   (est/meas ratio per candidate plan, per query family), also fed into
   the ``ghostdb_optimizer_est_over_meas`` histogram.
@@ -24,18 +25,10 @@ context but never gated.
 """
 
 from repro.bench.artifact import (
+    BENCH,
     GATED_METRICS,
-    KIND,
-    SCHEMA_VERSION,
     build_artifact,
-    load_artifact,
     scenario_record,
-    to_payload,
-)
-from repro.bench.compare import (
-    ComparisonReport,
-    MetricDelta,
-    compare_artifacts,
 )
 from repro.bench.runner import BenchConfig, BenchError, BenchRun, run_bench
 from repro.bench.scenarios import SCENARIOS, Scenario, select_scenarios
@@ -48,26 +41,20 @@ from repro.bench.scorecard import (
 )
 
 __all__ = [
+    "BENCH",
     "GATED_METRICS",
-    "KIND",
     "MISESTIMATE_THRESHOLD",
     "SCENARIOS",
-    "SCHEMA_VERSION",
     "BenchConfig",
     "BenchError",
     "BenchRun",
-    "ComparisonReport",
     "FamilyScore",
-    "MetricDelta",
     "Scenario",
     "build_artifact",
     "build_scorecard",
-    "compare_artifacts",
-    "load_artifact",
     "render_scorecard",
     "run_bench",
     "scenario_record",
     "score_family",
     "select_scenarios",
-    "to_payload",
 ]

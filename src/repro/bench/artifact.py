@@ -3,33 +3,19 @@
 One bench run produces one JSON artifact: per-scenario simulated-device
 measurements (deterministic -- same code, same scale, same numbers),
 host wall times (informational only), and the optimizer estimate-quality
-scorecard.  The comparator in :mod:`repro.bench.compare` diffs two
-artifacts; CI commits one as ``benchmarks/baseline.json`` and gates on
-the diff.
+scorecard.  :func:`repro.artifacts.compare` diffs two artifacts under
+the :data:`BENCH` gate table; CI commits one as
+``benchmarks/baseline.json`` and gates on the diff.
 
 Artifacts are observable execution artefacts, so they pass through the
-same :mod:`repro.obs.redact` gate as trace spans before serialization:
-every string is tokenised and out-of-vocabulary tokens scrub to ``?``.
-The runner then verifies the serialized payload CLEAN with the
-adversarial :class:`~repro.privacy.leakcheck.LeakChecker`.
+shared :mod:`repro.artifacts` pipeline: redaction with the allow-list
+declared here, then the adversarial
+:class:`~repro.privacy.leakcheck.LeakChecker`, then a crash-safe write.
 """
 
 from __future__ import annotations
 
-import json
-
-from repro.obs.redact import Redactor
-
-#: Bump on any incompatible change to the artifact layout.  The
-#: comparator refuses to diff artifacts of different versions.
-#: v2 added the per-scenario ``leak_*`` leakage columns.
-#: v3 added the buffer-pool ``cache_hits``/``cache_misses`` columns.
-#: v4 added the ``flight_events`` column and the top-level ``recorder``
-#: overhead section (the comparator gates its host-wall fraction < 5%).
-SCHEMA_VERSION = 4
-
-#: Artifact discriminator, so tooling can reject arbitrary JSON.
-KIND = "ghostdb-bench"
+from repro.artifacts import SIGNATURE_KEYS, ArtifactKind, Gates
 
 #: Per-scenario metrics the comparator gates on.  All are deterministic
 #: functions of the code and the scenario (simulated device time and
@@ -52,11 +38,37 @@ GATED_METRICS = (
     "leak_ids_observed",
 )
 
-
-#: Keys whose string values are shape-derived hex signatures (see
-#: :data:`repro.privacy.meter.SIGNATURE_KEYS` for the meter's own
-#: artifact) and therefore pass the redaction gate unscrubbed.
-SIGNATURE_KEYS = frozenset({"leak_request_signature", "request_signature", "signatures"})
+#: The bench artifact kind.  Bump ``schema_version`` on any
+#: incompatible layout change; the comparator refuses to diff artifacts
+#: of different versions.
+#: v2 added the per-scenario ``leak_*`` leakage columns.
+#: v3 added the buffer-pool ``cache_hits``/``cache_misses`` columns.
+#: v4 added the ``flight_events`` column and the top-level ``recorder``
+#: overhead section (gated below 5% of host wall).
+BENCH = ArtifactKind(
+    kind="ghostdb-bench",
+    schema_version=4,
+    prefix="BENCH",
+    structural=("kind", "created", "config.profile", "leak_check"),
+    value_keys=SIGNATURE_KEYS,
+    gates=Gates(
+        rows="scenarios",
+        relative=GATED_METRICS,
+        # The request-sequence signature is invariant under fault
+        # retries by construction, so no tolerance can excuse a change:
+        # the protocol conversation itself moved.
+        exact=("leak_request_signature",),
+        # Scheduling fairness is a contract, not a diff: every current
+        # row declaring a floor is gated, baseline or not.
+        floors=(("fairness_index", "fairness_floor"),),
+        # The flight recorder is always on, so its cost rides every
+        # measurement; its estimated share of host wall must stay < 5%.
+        ceilings=(("recorder.overhead_fraction", 0.05),),
+        # Absorbs rounding-scale drift while still catching any real
+        # change; identical code reproduces the baseline exactly.
+        tolerance=0.02,
+    ),
+)
 
 
 def scenario_record(
@@ -134,8 +146,8 @@ def build_artifact(
     comparator fails a run whose fraction reaches 5%.
     """
     return {
-        "kind": KIND,
-        "schema_version": SCHEMA_VERSION,
+        "kind": BENCH.kind,
+        "schema_version": BENCH.schema_version,
         "created": created,
         "config": {"scale": scale, "profile": profile},
         "scenarios": scenarios,
@@ -143,64 +155,3 @@ def build_artifact(
         "recorder": recorder or {},
         "leak_check": "CLEAN",
     }
-
-
-def _allow_structure(redactor: Redactor, artifact: dict) -> None:
-    """Register the artifact's *structural* tokens with the gate.
-
-    Dict keys are authored by this code base (scenario names, family
-    slugs, metric names) and are therefore safe vocabulary.  String
-    *values* stay default-deny except the known structural fields
-    (kind / created / profile) and signature hex digests -- which are
-    CRCs of traffic *shape*, computed by the meter, never data; anything
-    else that sneaks in as a string value scrubs to ``?`` and shows up
-    in review instead of leaking.
-    """
-    redactor.allow(
-        artifact.get("kind", ""),
-        artifact.get("created", ""),
-        artifact.get("config", {}).get("profile", ""),
-        artifact.get("leak_check", ""),
-    )
-
-    def _keys(value, parent_key: str = "") -> None:
-        if isinstance(value, dict):
-            for key, sub in value.items():
-                redactor.allow(str(key))
-                _keys(sub, str(key))
-        elif isinstance(value, (list, tuple)):
-            for sub in value:
-                _keys(sub, parent_key)
-        elif isinstance(value, str) and parent_key in SIGNATURE_KEYS:
-            redactor.allow(value)
-
-    _keys(artifact)
-
-
-def to_payload(artifact: dict, redactor: Redactor | None = None) -> bytes:
-    """Gate the artifact through redaction and serialize it.
-
-    A fresh default-deny :class:`Redactor` is used unless one is given
-    (the runner passes the session's, which already knows the schema
-    vocabulary).
-    """
-    redactor = redactor or Redactor()
-    _allow_structure(redactor, artifact)
-    scrubbed = redactor.value(artifact)
-    text = json.dumps(scrubbed, indent=2, sort_keys=True) + "\n"
-    return text.encode("utf-8")
-
-
-def load_artifact(path: str) -> dict:
-    """Read one artifact back, refusing foreign or future JSON."""
-    with open(path, "r", encoding="utf-8") as handle:
-        artifact = json.load(handle)
-    if not isinstance(artifact, dict) or artifact.get("kind") != KIND:
-        raise ValueError(f"{path}: not a {KIND} artifact")
-    version = artifact.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ValueError(
-            f"{path}: artifact schema_version {version!r}, "
-            f"this tool speaks {SCHEMA_VERSION}"
-        )
-    return artifact

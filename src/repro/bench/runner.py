@@ -12,16 +12,11 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import os
 import time
 from dataclasses import dataclass, field
 
-from repro.bench.artifact import build_artifact, scenario_record, to_payload
-from repro.bench.compare import (
-    DEFAULT_TOLERANCE,
-    compare_artifacts,
-    load_artifact,
-)
+from repro import artifacts
+from repro.bench.artifact import BENCH, build_artifact, scenario_record
 from repro.bench.scenarios import select_scenarios
 from repro.bench.scorecard import build_scorecard, render_scorecard
 from repro.core.factory import build_session
@@ -62,20 +57,6 @@ class BenchRun:
     payload: bytes
     leak_summary: str
     lines: list[str] = field(default_factory=list)
-
-    def write(self, path: str) -> None:
-        parent = os.path.dirname(path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(path, "wb") as handle:
-            handle.write(self.payload)
-
-
-def default_artifact_name(
-    today: datetime.date | None = None,
-) -> str:
-    today = today or datetime.date.today()
-    return f"BENCH_{today.strftime('%Y%m%d')}.json"
 
 
 def recorder_overhead(
@@ -178,15 +159,14 @@ def run_bench(config: BenchConfig | None = None) -> BenchRun:
         scorecard=card,
         recorder=recorder,
     )
-    payload = to_payload(artifact, session.obs.redactor)
-    checker = LeakChecker(session.schema, data)
-    leak = checker.check_bytes(payload, kind="bench-artifact")
-    if not leak.ok:
-        raise BenchError(f"artifact failed leak check: {leak.summary()}")
+    payload, leak_summary = artifacts.checked_payload(
+        BENCH, artifact, LeakChecker(session.schema, data),
+        session.obs.redactor,
+    )
     return BenchRun(
         artifact=artifact,
         payload=payload,
-        leak_summary=leak.summary(),
+        leak_summary=leak_summary,
         lines=lines,
     )
 
@@ -219,9 +199,9 @@ def main(argv=None) -> int:
         "on regression",
     )
     parser.add_argument(
-        "--tolerance", type=float, default=DEFAULT_TOLERANCE,
+        "--tolerance", type=float, default=BENCH.gates.tolerance,
         help="relative headroom before a gated metric regresses "
-        f"(default {DEFAULT_TOLERANCE})",
+        f"(default {BENCH.gates.tolerance})",
     )
     parser.add_argument(
         "--no-scorecard", action="store_true",
@@ -236,7 +216,7 @@ def main(argv=None) -> int:
             scenario_names=args.scenario,
             scorecard=not args.no_scorecard,
         ))
-    except (BenchError, KeyError) as exc:
+    except (BenchError, artifacts.ArtifactLeakError, KeyError) as exc:
         print(f"error: {exc}")
         return 2
 
@@ -248,9 +228,9 @@ def main(argv=None) -> int:
     print()
     print(run.leak_summary)
 
-    out_path = args.bench_out or default_artifact_name()
+    out_path = args.bench_out or artifacts.default_artifact_name(BENCH)
     try:
-        run.write(out_path)
+        artifacts.write(out_path, run.payload)
     except OSError as exc:
         print(f"error: could not write artifact: {exc}")
         return 2
@@ -258,12 +238,12 @@ def main(argv=None) -> int:
 
     if args.baseline:
         try:
-            baseline = load_artifact(args.baseline)
+            baseline = artifacts.load(args.baseline, BENCH)
         except (OSError, ValueError) as exc:
             print(f"error: could not read baseline: {exc}")
             return 2
-        report = compare_artifacts(
-            baseline, run.artifact, tolerance=args.tolerance
+        report = artifacts.compare(
+            BENCH, baseline, run.artifact, tolerance=args.tolerance
         )
         print()
         print(report.render())

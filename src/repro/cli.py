@@ -513,34 +513,20 @@ class Shell:
     def _flush_leakage(self) -> None:
         if not self.leak_out:
             return
-        import json
-
-        from repro.privacy.meter import profile_records
+        from repro import artifacts
+        from repro.privacy.meter import SHELL_SCORECARD, profile_records
 
         profile = profile_records(self.db.usb_log)
-        payload = (
-            json.dumps(
-                {
-                    "kind": "ghostdb-leak-scorecard",
-                    "scorecard": profile.to_record(),
-                },
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n"
-        ).encode("utf-8")
-        # The scorecard is shape-only by construction; the checker
-        # verifies that from the outside before anything hits disk.
-        leak = self.checker.check_bytes(payload, kind="leak-scorecard")
-        if not leak.ok:
-            self._print(f"error: leakage scorecard not written: {leak.summary()}")
-            return
-        parent = os.path.dirname(self.leak_out)
+        record = {"kind": SHELL_SCORECARD.kind, "scorecard": profile.to_record()}
         try:
-            if parent:
-                os.makedirs(parent, exist_ok=True)
-            with open(self.leak_out, "wb") as handle:
-                handle.write(payload)
+            payload, _ = artifacts.checked_payload(
+                SHELL_SCORECARD, record, self.checker
+            )
+        except artifacts.ArtifactLeakError as exc:
+            self._print(f"error: leakage scorecard not written: {exc}")
+            return
+        try:
+            artifacts.write(self.leak_out, payload)
         except OSError as exc:
             self._print(f"error: could not write leakage scorecard: {exc}")
             return
@@ -603,7 +589,8 @@ def doctor_main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     from repro.faults.errors import GhostDBFaultError
-    from repro.obs.bundle import load_bundle
+    from repro import artifacts
+    from repro.obs.bundle import POSTMORTEM
 
     ok = True
     db, data = build_session(
@@ -653,7 +640,7 @@ def doctor_main(argv=None) -> int:
     print(f"doctor: leak check {report.summary()}")
     if not report.ok:
         ok = False
-    bundle = load_bundle(path)
+    bundle = artifacts.load(path, POSTMORTEM)
     if bundle["ledger"]["total_queries"] != ledger.total_queries:
         print("doctor: FAIL -- bundle ledger does not match session")
         ok = False

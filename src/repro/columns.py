@@ -6,14 +6,12 @@ selections, conversions, SKT root streams -- those items are plain 32-bit
 integers, and shipping them as Python lists of boxed ints makes the host
 pay per-object overhead the simulated device never sees.  An
 :class:`IdColumn` stores one window as a typed vector instead: a compact
-``array('I')`` buffer by default, or a NumPy ``uint32`` vector when the
-``GHOSTDB_NUMPY`` environment flag is set and NumPy is importable.
+``array('I')`` buffer.
 
 Two contracts keep columns drop-in for every consumer:
 
 * A column is a sequence: ``len()``, iteration, indexing and slicing all
-  work, and *iteration always yields built-in Python ints* -- a NumPy
-  scalar must never leak into query results or USB payload packing.
+  work, and *iteration always yields built-in Python ints*.
 * Columns are immutable once built.  Operators hand the same column (or
   a slice of it, which shares no mutable state) downstream without
   copying.
@@ -25,7 +23,6 @@ hardware does.
 
 from __future__ import annotations
 
-import os
 import sys
 from array import array
 from itertools import islice
@@ -38,25 +35,6 @@ ID_WIDTH = 4
 _TYPECODE = next(
     code for code in ("I", "L") if array(code).itemsize == ID_WIDTH
 )
-
-
-def _load_numpy():
-    if os.environ.get("GHOSTDB_NUMPY", "") not in ("", "0"):
-        try:
-            import numpy
-        except ImportError:
-            return None
-        return numpy
-    return None
-
-
-#: The NumPy module when the ``GHOSTDB_NUMPY`` flag selected it, else None.
-NUMPY = _load_numpy()
-
-
-def numpy_enabled() -> bool:
-    """True when columns are NumPy-backed in this process."""
-    return NUMPY is not None
 
 
 class IdColumn:
@@ -74,10 +52,6 @@ class IdColumn:
     @classmethod
     def from_ids(cls, ids) -> "IdColumn":
         """Build from an iterable of Python ints."""
-        if NUMPY is not None:
-            if not isinstance(ids, (list, tuple)):
-                ids = list(ids)
-            return cls(NUMPY.asarray(ids, dtype=NUMPY.uint32))
         return cls(array(_TYPECODE, ids))
 
     @classmethod
@@ -85,12 +59,6 @@ class IdColumn:
         """Decode ``count`` big-endian uint32 values starting at
         ``offset`` of ``raw`` -- the packed on-flash / on-wire layout."""
         view = raw[offset : offset + count * ID_WIDTH]
-        if NUMPY is not None:
-            return cls(
-                NUMPY.frombuffer(view, dtype=">u4").astype(
-                    NUMPY.uint32, copy=False
-                )
-            )
         ids = array(_TYPECODE)
         ids.frombytes(view)
         if sys.byteorder == "little":
@@ -105,16 +73,12 @@ class IdColumn:
         return len(self._data)
 
     def __iter__(self):
-        # NumPy iteration yields numpy scalars; tolist() round-trips to
-        # built-in ints in one C call.  array('I') already yields ints.
-        if NUMPY is not None:
-            return iter(self._data.tolist())
         return iter(self._data)
 
     def __getitem__(self, item):
         if isinstance(item, slice):
             return IdColumn(self._data[item])
-        return int(self._data[item])
+        return self._data[item]
 
     def __bool__(self) -> bool:
         return len(self._data) > 0
@@ -137,14 +101,10 @@ class IdColumn:
 
     def tolist(self) -> list[int]:
         """The column as a list of built-in Python ints."""
-        if NUMPY is not None:
-            return self._data.tolist()
         return self._data.tolist()
 
     def to_be_bytes(self) -> bytes:
         """Pack back to the big-endian wire/flash layout."""
-        if NUMPY is not None:
-            return self._data.astype(">u4").tobytes()
         data = self._data
         if sys.byteorder == "little":
             data = array(_TYPECODE, data)

@@ -34,6 +34,7 @@ Example::
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 from repro.core.session import (
@@ -383,13 +384,16 @@ class GhostDB:
         configured with ``dump_on_fault``; callable any time for an
         on-demand snapshot (the shell's ``.dump``, ``ghostdb doctor``).
         """
-        from repro.obs.bundle import build_bundle, write_bundle
+        from repro import artifacts
+        from repro.obs.bundle import POSTMORTEM, build_bundle
 
         bundle = build_bundle(self, reason=reason)
-        path = write_bundle(
-            bundle,
-            directory=directory if directory is not None else self.config.dump_dir,
-            redactor=self.obs.redactor,
+        path = os.path.join(
+            directory if directory is not None else self.config.dump_dir,
+            artifacts.default_artifact_name(POSTMORTEM, bundle["seed"]),
+        )
+        artifacts.write(
+            path, artifacts.payload(POSTMORTEM, bundle, self.obs.redactor)
         )
         self.obs.registry.counter("ghostdb_postmortem_bundles_total").inc(
             reason=reason

@@ -9,12 +9,13 @@ device/FTL state, and the per-query resource ledger including the
 aborted query's row.
 
 Bundles are observable execution artefacts, so they pass the same bar as
-traces and bench artifacts: every string goes through the session's
-:class:`~repro.obs.redact.Redactor` (dict keys, which this code base
-authors, are registered as safe vocabulary; string *values* stay
-default-deny), and the test suite feeds the serialized bytes through the
-adversarial :class:`~repro.privacy.leakcheck.LeakChecker` across the
-whole chaos sweep to prove every bundle CLEAN.
+traces and bench artifacts: :mod:`repro.artifacts` gates every string
+through the session's :class:`~repro.obs.redact.Redactor` with the
+:data:`POSTMORTEM` allow-list (dict keys, which this code base authors,
+are safe vocabulary; string *values* stay default-deny), and the test
+suite feeds the serialized bytes through the adversarial
+:class:`~repro.privacy.leakcheck.LeakChecker` across the whole chaos
+sweep to prove every bundle CLEAN.
 
 The bundle is built from a *duck-typed* session (anything with ``obs``,
 ``device``, ``config``, ``fault_injector``) so this module never imports
@@ -24,17 +25,22 @@ The bundle is built from a *duck-typed* session (anything with ``obs``,
 from __future__ import annotations
 
 import dataclasses
-import json
-import os
 
+from repro.artifacts import ArtifactKind
 from repro.obs.export import span_tree_dicts
-from repro.obs.redact import Redactor
 
-#: Bump on any incompatible change to the bundle layout.
-SCHEMA_VERSION = 1
-
-#: Bundle discriminator, so tooling can reject arbitrary JSON.
-KIND = "ghostdb-postmortem"
+#: The ``DUMP_<seed>.json`` bundle kind.  Its string values pass the
+#: gate only as the structural fields below (abort class names and
+#: profile identifiers); no signature keys.
+POSTMORTEM = ArtifactKind(
+    kind="ghostdb-postmortem",
+    schema_version=1,
+    prefix="DUMP",
+    structural=(
+        "kind", "reason", "leak_check", "config.profile",
+        "config.fault_profile", "device.profile",
+    ),
+)
 
 
 def _numeric_fields(stats) -> dict:
@@ -134,8 +140,8 @@ def build_bundle(session, reason: str = "dump") -> dict:
     )
     flight = obs.flight
     return {
-        "kind": KIND,
-        "schema_version": SCHEMA_VERSION,
+        "kind": POSTMORTEM.kind,
+        "schema_version": POSTMORTEM.schema_version,
         "reason": reason,
         "seed": seed,
         "config": {
@@ -161,81 +167,3 @@ def build_bundle(session, reason: str = "dump") -> dict:
         "device": device_state_summary(device),
         "leak_check": "CLEAN",
     }
-
-
-def _allow_structure(redactor: Redactor, bundle: dict) -> None:
-    """Register the bundle's *structural* tokens with the gate.
-
-    Dict keys (event kinds' field names, metric sample lines, ledger
-    columns) are authored by this code base and therefore safe; string
-    values stay default-deny except the known structural fields below --
-    anything else that sneaks in as a string value scrubs to ``?`` and
-    shows up in review instead of leaking.
-    """
-    redactor.allow(
-        bundle.get("kind", ""),
-        bundle.get("reason", ""),
-        bundle.get("leak_check", ""),
-        bundle.get("config", {}).get("profile", ""),
-        bundle.get("config", {}).get("fault_profile") or "",
-        bundle.get("device", {}).get("profile", ""),
-    )
-
-    def _keys(value) -> None:
-        if isinstance(value, dict):
-            for key, sub in value.items():
-                redactor.allow(str(key))
-                _keys(sub)
-        elif isinstance(value, (list, tuple)):
-            for sub in value:
-                _keys(sub)
-
-    _keys(bundle)
-
-
-def bundle_payload(bundle: dict, redactor: Redactor | None = None) -> bytes:
-    """Gate the bundle through redaction and serialize it.
-
-    A fresh default-deny :class:`Redactor` is used unless one is given
-    (the session passes its own, which already knows the schema
-    vocabulary -- table and column *names* are part of the accepted
-    revelation; values never are).
-    """
-    redactor = redactor or Redactor()
-    _allow_structure(redactor, bundle)
-    scrubbed = redactor.value(bundle)
-    text = json.dumps(scrubbed, indent=2, sort_keys=True) + "\n"
-    return text.encode("utf-8")
-
-
-def bundle_filename(bundle: dict) -> str:
-    return f"DUMP_{bundle.get('seed', 0)}.json"
-
-
-def write_bundle(
-    bundle: dict,
-    directory: str = ".",
-    redactor: Redactor | None = None,
-) -> str:
-    """Serialize one bundle into ``directory``; returns the path."""
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, bundle_filename(bundle))
-    payload = bundle_payload(bundle, redactor)
-    with open(path, "wb") as handle:
-        handle.write(payload)
-    return path
-
-
-def load_bundle(path: str) -> dict:
-    """Read one bundle back, refusing foreign or future JSON."""
-    with open(path, "r", encoding="utf-8") as handle:
-        bundle = json.load(handle)
-    if not isinstance(bundle, dict) or bundle.get("kind") != KIND:
-        raise ValueError(f"{path}: not a {KIND} bundle")
-    version = bundle.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ValueError(
-            f"{path}: bundle schema_version {version!r}, "
-            f"this tool speaks {SCHEMA_VERSION}"
-        )
-    return bundle

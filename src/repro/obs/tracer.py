@@ -120,6 +120,15 @@ class Tracer:
         self.roots: list[Span] = []
         self._stack: list[Span] = []
         self._ids = itertools.count(1)
+        #: Spans held in ``roots`` and their descendants, kept current by
+        #: :meth:`_open` and :meth:`clear` so reading it is O(1).
+        self._count = 0
+
+    def __setstate__(self, state: dict) -> None:
+        # Session files written before the running count existed carry
+        # a tracer without it; recount whatever was pickled.
+        self.__dict__.update(state)
+        self._count = sum(1 for _ in self.spans())
 
     def sim_now(self) -> float:
         return self.clock.now if self.clock is not None else 0.0
@@ -145,6 +154,7 @@ class Tracer:
             parent.children.append(span)
         else:
             self.roots.append(span)
+        self._count += 1
         return span
 
     @contextmanager
@@ -209,8 +219,9 @@ class Tracer:
             yield from root.walk()
 
     def span_count(self) -> int:
-        return sum(1 for _ in self.spans())
+        return self._count
 
     def clear(self) -> None:
         """Forget recorded spans (open spans stay on the stack)."""
         self.roots = [s for s in self.roots if not s.finished]
+        self._count = sum(1 for _ in self.spans())

@@ -9,16 +9,18 @@ paper's guarantee -- the only information revealed is the queries posed
 and the visible data accessed.  :mod:`repro.privacy.meter` quantifies
 what that accepted revelation is worth to the adversary: traffic-shape
 scorecards plus a query-fingerprinting attack whose accuracy is the
-leakage number.
+leakage number.  Its ``LEAK_<date>.json`` scorecard is declared there as
+:data:`~repro.privacy.meter.LEAKAGE` and written, loaded and gated
+against its baseline by :mod:`repro.artifacts`.
 """
 
 from repro.privacy.leakcheck import LeakChecker, LeakReport, LeakViolation
 from repro.privacy.meter import (
+    LEAKAGE,
     FingerprintClassifier,
     LeakMeterConfig,
     LeakMeterError,
     TrafficProfile,
-    compare_leakage,
     evaluate_fingerprinting,
     profile_records,
     render_profile,
@@ -28,6 +30,7 @@ from repro.privacy.meter import (
 from repro.privacy.spy import IdStats, SpyView, TrafficSummary, unpack_ids
 
 __all__ = [
+    "LEAKAGE",
     "FingerprintClassifier",
     "IdStats",
     "LeakChecker",
@@ -38,7 +41,6 @@ __all__ = [
     "SpyView",
     "TrafficProfile",
     "TrafficSummary",
-    "compare_leakage",
     "evaluate_fingerprinting",
     "profile_records",
     "render_profile",

@@ -21,10 +21,11 @@ Three layers:
   accuracy *is* the leakage number -- 1/labels means the shape reveals
   nothing, 1.0 means the spy names your query from the traffic alone.
 * :func:`run_leakage_meter` runs the whole workbook on a deterministic
-  session and writes a redaction-gated, LeakChecker-CLEAN
-  ``LEAK_<date>.json`` scorecard; :func:`compare_leakage` diffs it
-  against ``benchmarks/leakage_baseline.json`` and fails on any change
-  that *widens* the channel -- the ``leakage-regression`` CI gate.
+  session and builds a redaction-gated, LeakChecker-CLEAN
+  ``LEAK_<date>.json`` scorecard; :func:`repro.artifacts.compare` diffs
+  it against ``benchmarks/leakage_baseline.json`` under the
+  :data:`LEAKAGE` gate table and fails on any change that *widens* the
+  channel -- the ``leakage-regression`` CI gate.
 
 The scorecard is bit-identical across reruns: simulated traffic is
 deterministic and the artifact carries no wall timestamps.
@@ -39,15 +40,11 @@ import math
 import zlib
 from dataclasses import dataclass, field
 
+from repro import artifacts
+from repro.artifacts import SIGNATURE_KEYS, ArtifactKind, Gates
 from repro.hardware.usb import Direction, TrafficRecord
 from repro.privacy.spy import ID_KINDS, IdStats, SpyView
 from repro.visible.frame import payload_of
-
-#: Bump on any incompatible change to the scorecard layout.
-SCHEMA_VERSION = 1
-
-#: Artifact discriminator, so tooling can reject arbitrary JSON.
-KIND = "ghostdb-leakage"
 
 #: Fault tags marking a copy of a message that never arrived intact.
 #: The link retransmits such frames, and the intact retransmission is
@@ -66,10 +63,6 @@ OP_ORDER = ("select_ids", "count_ids", "fetch_values")
 #: every query family produces distinctive traffic, small enough for a
 #: sub-minute CI gate.
 DEFAULT_LEAK_SCALE = 1000
-
-#: Absolute headroom the classifier accuracy may grow before the gate
-#: fails (re-identification getting *easier* is a leakage regression).
-ACCURACY_TOLERANCE = 0.02
 
 
 class LeakMeterError(RuntimeError):
@@ -180,6 +173,17 @@ class TrafficProfile:
         features.append(self.gaps.mean_s)
         features.append(self.gaps.max_s)
         return tuple(features)
+
+
+#: The shell's ``--leak-out`` file: one session's traffic profile as
+#: ``{"kind": ..., "scorecard": TrafficProfile.to_record()}``.  Shape
+#: only by construction; its one string value is the request signature.
+SHELL_SCORECARD = ArtifactKind(
+    kind="ghostdb-leak-scorecard",
+    schema_version=None,
+    structural=("kind",),
+    value_keys=SIGNATURE_KEYS,
+)
 
 
 #: Names of :meth:`TrafficProfile.feature_vector` positions, in order.
@@ -538,19 +542,28 @@ class LeakRun:
     leak_summary: str
     lines: list[str] = field(default_factory=list)
 
-    def write(self, path: str) -> None:
-        import os
 
-        parent = os.path.dirname(path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(path, "wb") as handle:
-            handle.write(self.payload)
-
-
-def default_artifact_name(today: datetime.date | None = None) -> str:
-    today = today or datetime.date.today()
-    return f"LEAK_{today.strftime('%Y%m%d')}.json"
+#: The ``LEAK_<date>.json`` scorecard kind.  Dict keys (family/band
+#: labels, metric names), signatures and classifier labels are authored
+#: here from traffic *shape*; every other string value stays default-deny.
+LEAKAGE = ArtifactKind(
+    kind="ghostdb-leakage",
+    schema_version=1,
+    prefix="LEAK",
+    structural=("kind", "leak_check", "config.profile"),
+    value_keys=SIGNATURE_KEYS | {"labels"},
+    gates=Gates(
+        rows="families",
+        # A wider observable channel fails; a narrower one is reported.
+        relative=("observable_bytes", "messages", "ids_observed"),
+        exact=("signatures",),
+        # Re-identification getting *easier* is a leakage regression.
+        growth=(("classifier.accuracy", 0.02),),
+        # The channel is deterministic: identical code reproduces the
+        # baseline exactly.
+        tolerance=0.0,
+    ),
+)
 
 
 def build_leak_artifact(
@@ -566,67 +579,13 @@ def build_leak_artifact(
     serialize bit-identically (the determinism the gate rests on).
     """
     return {
-        "kind": KIND,
-        "schema_version": SCHEMA_VERSION,
+        "kind": LEAKAGE.kind,
+        "schema_version": LEAKAGE.schema_version,
         "config": {"scale": scale, "profile": profile},
         "families": families,
         "classifier": classifier,
         "leak_check": "CLEAN",
     }
-
-
-#: Keys whose string values are shape-derived (hex signatures), never
-#: data, and therefore safe through the redaction gate.
-SIGNATURE_KEYS = frozenset({"request_signature", "signatures", "leak_request_signature"})
-
-
-def leak_payload(artifact: dict, redactor=None) -> bytes:
-    """Gate the scorecard through redaction and serialize it.
-
-    Dict keys (family/band labels, metric names) and signature values
-    are authored by this module from traffic *shape*; every other string
-    value stays default-deny and scrubs to ``?``.
-    """
-    from repro.obs.redact import Redactor
-
-    redactor = redactor or Redactor()
-    redactor.allow(
-        artifact.get("kind", ""), artifact.get("leak_check", ""),
-        artifact.get("config", {}).get("profile", ""),
-    )
-
-    def _walk(value, parent_key: str = "") -> None:
-        if isinstance(value, dict):
-            for key, sub in value.items():
-                redactor.allow(str(key))
-                _walk(sub, str(key))
-        elif isinstance(value, (list, tuple)):
-            for sub in value:
-                _walk(sub, parent_key)
-        elif isinstance(value, str) and (
-            parent_key in SIGNATURE_KEYS or parent_key in ("labels",)
-        ):
-            redactor.allow(value)
-
-    _walk(artifact)
-    scrubbed = redactor.value(artifact)
-    text = json.dumps(scrubbed, indent=2, sort_keys=True) + "\n"
-    return text.encode("utf-8")
-
-
-def load_leak_artifact(path: str) -> dict:
-    """Read one scorecard back, refusing foreign or future JSON."""
-    with open(path, "r", encoding="utf-8") as handle:
-        artifact = json.load(handle)
-    if not isinstance(artifact, dict) or artifact.get("kind") != KIND:
-        raise ValueError(f"{path}: not a {KIND} artifact")
-    version = artifact.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ValueError(
-            f"{path}: artifact schema_version {version!r}, "
-            f"this tool speaks {SCHEMA_VERSION}"
-        )
-    return artifact
 
 
 def run_leakage_meter(config: LeakMeterConfig | None = None) -> LeakRun:
@@ -695,135 +654,16 @@ def run_leakage_meter(config: LeakMeterConfig | None = None) -> LeakRun:
         families=families,
         classifier=classifier,
     )
-    payload = leak_payload(artifact, session.obs.redactor)
-    checker = LeakChecker(session.schema, data)
-    leak = checker.check_bytes(payload, kind="leakage-artifact")
-    if not leak.ok:
-        raise LeakMeterError(f"scorecard failed leak check: {leak.summary()}")
+    payload, leak_summary = artifacts.checked_payload(
+        LEAKAGE, artifact, LeakChecker(session.schema, data),
+        session.obs.redactor,
+    )
     return LeakRun(
         artifact=artifact,
         payload=payload,
-        leak_summary=leak.summary(),
+        leak_summary=leak_summary,
         lines=lines,
     )
-
-
-# ----------------------------------------------------------------------
-# The leakage-regression gate
-# ----------------------------------------------------------------------
-
-#: Per-family scalars the gate fails on when they *increase* (a wider
-#: observable channel).  Decreases pass and are reported.
-GATED_CHANNEL_METRICS = ("observable_bytes", "messages", "ids_observed")
-
-
-@dataclass
-class LeakageComparison:
-    """Outcome of one leakage-baseline comparison."""
-
-    tolerance: float
-    families_compared: int = 0
-    widened: list[str] = field(default_factory=list)
-    narrowed: list[str] = field(default_factory=list)
-    signature_changes: list[str] = field(default_factory=list)
-    accuracy_regression: str | None = None
-    missing_families: list[str] = field(default_factory=list)
-    new_families: list[str] = field(default_factory=list)
-    config_errors: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not (
-            self.widened
-            or self.signature_changes
-            or self.accuracy_regression
-            or self.missing_families
-            or self.config_errors
-        )
-
-    def render(self) -> str:
-        status = "PASS" if self.ok else "FAIL"
-        lines = [
-            f"leakage comparison: {status} "
-            f"({self.families_compared} families x "
-            f"{len(GATED_CHANNEL_METRICS)} channel metrics, "
-            f"tolerance {self.tolerance:.0%})"
-        ]
-        lines.extend(f"  config mismatch: {e}" for e in self.config_errors)
-        lines.extend(
-            f"  missing family: {name} (in baseline, not run)"
-            for name in self.missing_families
-        )
-        lines.extend(f"  CHANNEL WIDENED {line}" for line in self.widened)
-        lines.extend(
-            f"  SIGNATURE CHANGED {line}" for line in self.signature_changes
-        )
-        if self.accuracy_regression:
-            lines.append(f"  MORE IDENTIFIABLE {self.accuracy_regression}")
-        lines.extend(f"  narrowed   {line}" for line in self.narrowed)
-        lines.extend(
-            f"  new family: {name} (no baseline -- commit a refreshed "
-            f"benchmarks/leakage_baseline.json)"
-            for name in self.new_families
-        )
-        return "\n".join(lines)
-
-
-def compare_leakage(
-    baseline: dict, current: dict, tolerance: float = 0.0
-) -> LeakageComparison:
-    """Diff two scorecards; any widening of the channel fails.
-
-    Channel metrics are deterministic, so the default tolerance is zero:
-    identical code reproduces the baseline exactly, and *any* growth in
-    observable bytes, message counts, ID cardinalities, a changed
-    request-sequence signature, or a classifier-accuracy gain beyond
-    :data:`ACCURACY_TOLERANCE` is a leakage regression.
-    """
-    report = LeakageComparison(tolerance=tolerance)
-    if baseline.get("schema_version") != current.get("schema_version"):
-        report.config_errors.append(
-            f"schema_version: baseline {baseline.get('schema_version')!r} "
-            f"vs run {current.get('schema_version')!r}"
-        )
-    base_cfg = baseline.get("config", {})
-    cur_cfg = current.get("config", {})
-    for key in ("scale", "profile"):
-        if base_cfg.get(key) != cur_cfg.get(key):
-            report.config_errors.append(
-                f"config.{key}: baseline {base_cfg.get(key)!r} "
-                f"vs run {cur_cfg.get(key)!r}"
-            )
-
-    base_families = baseline.get("families", {})
-    cur_families = current.get("families", {})
-    report.missing_families = sorted(set(base_families) - set(cur_families))
-    report.new_families = sorted(set(cur_families) - set(base_families))
-    for name in sorted(set(base_families) & set(cur_families)):
-        report.families_compared += 1
-        base_row = base_families[name]
-        cur_row = cur_families[name]
-        for metric in GATED_CHANNEL_METRICS:
-            base_value = float(base_row.get(metric, 0))
-            cur_value = float(cur_row.get(metric, 0))
-            line = f"{name}: {metric} {base_value:g} -> {cur_value:g}"
-            if cur_value > base_value * (1 + tolerance):
-                report.widened.append(line)
-            elif cur_value < base_value * (1 - tolerance):
-                report.narrowed.append(line)
-        if base_row.get("signatures") != cur_row.get("signatures"):
-            report.signature_changes.append(
-                f"{name}: {base_row.get('signatures')} -> "
-                f"{cur_row.get('signatures')}"
-            )
-
-    base_acc = float(baseline.get("classifier", {}).get("accuracy", 0.0))
-    cur_acc = float(current.get("classifier", {}).get("accuracy", 0.0))
-    if cur_acc > base_acc + ACCURACY_TOLERANCE:
-        report.accuracy_regression = (
-            f"fingerprint accuracy {base_acc:.3f} -> {cur_acc:.3f}"
-        )
-    return report
 
 
 # ----------------------------------------------------------------------
@@ -865,7 +705,7 @@ def main(argv=None) -> int:
         run = run_leakage_meter(
             LeakMeterConfig(scale=args.scale, profile=args.profile)
         )
-    except LeakMeterError as exc:
+    except (LeakMeterError, artifacts.ArtifactLeakError) as exc:
         print(f"error: {exc}")
         return 2
 
@@ -874,9 +714,9 @@ def main(argv=None) -> int:
     print()
     print(run.leak_summary)
 
-    out_path = args.leak_out or default_artifact_name()
+    out_path = args.leak_out or artifacts.default_artifact_name(LEAKAGE)
     try:
-        run.write(out_path)
+        artifacts.write(out_path, run.payload)
     except OSError as exc:
         print(f"error: could not write scorecard: {exc}")
         return 2
@@ -884,12 +724,12 @@ def main(argv=None) -> int:
 
     if args.baseline:
         try:
-            baseline = load_leak_artifact(args.baseline)
+            baseline = artifacts.load(args.baseline, LEAKAGE)
         except (OSError, ValueError) as exc:
             print(f"error: could not read baseline: {exc}")
             return 2
-        report = compare_leakage(
-            baseline, run.artifact, tolerance=args.tolerance
+        report = artifacts.compare(
+            LEAKAGE, baseline, run.artifact, tolerance=args.tolerance
         )
         print()
         print(report.render())

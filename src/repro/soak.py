@@ -35,12 +35,12 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import json
 import os
 import random
 from dataclasses import dataclass
 
-from repro.bench.artifact import to_payload
+from repro import artifacts
+from repro.artifacts import ArtifactKind
 from repro.core.factory import build_session
 from repro.core.ghostdb import GhostDB
 from repro.faults import FAULT_PROFILES, GhostDBFaultError
@@ -53,10 +53,17 @@ from repro.sql.parser import parse_statement
 
 log = get_logger(__name__)
 
-#: Artifact discriminator + layout version (see :mod:`repro.bench.artifact`
-#: for the convention).
-KIND = "ghostdb-soak"
-SCHEMA_VERSION = 1
+#: The ``SOAK_<seed>.json`` kind.  Its string values pass the gate only
+#: as invariant names, their ``ok``/``violated`` status and the fault
+#: profile name; violation details scrub to ``?``.
+SOAK = ArtifactKind(
+    kind="ghostdb-soak",
+    schema_version=1,
+    prefix="SOAK",
+    structural=("kind", "leak_check", "config.fault_profile"),
+    value_keys=frozenset({"invariant"}),
+    vocabulary=("ok", "violated"),
+)
 
 #: Attempts a faulted statement gets before the run is declared broken.
 #: Schedules are seed-fixed, so a given run needs the same attempts on
@@ -137,15 +144,6 @@ class SoakRun:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def write(self, directory: str = ".") -> str:
-        os.makedirs(directory, exist_ok=True)
-        path = os.path.join(
-            directory, f"SOAK_{self.report['config']['seed']}.json"
-        )
-        with open(path, "wb") as handle:
-            handle.write(self.payload)
-        return path
 
 
 # ----------------------------------------------------------------------
@@ -487,8 +485,8 @@ def run_soak(config: SoakConfig | None = None) -> SoakRun:
         epoch += 1
 
     report = {
-        "kind": KIND,
-        "schema_version": SCHEMA_VERSION,
+        "kind": SOAK.kind,
+        "schema_version": SOAK.schema_version,
         "config": {
             "seed": config.seed,
             "epochs": epoch,
@@ -512,21 +510,10 @@ def run_soak(config: SoakConfig | None = None) -> SoakRun:
     # The artifact is an observable execution artefact: it passes the
     # default-deny redaction gate, then the adversarial leak checker
     # (with the *final* hidden corpus) must call the bytes CLEAN.
-    redactor = db.obs.redactor
-    redactor.allow(
-        KIND, "ok", "violated", "CLEAN",
-        report["config"]["fault_profile"],
+    payload, leak_summary = artifacts.checked_payload(
+        SOAK, report, LeakChecker(db.schema, ref), db.obs.redactor
     )
-    for violation in violations:
-        redactor.allow(violation["invariant"])
-    payload = to_payload(report, redactor)
-    checker = LeakChecker(db.schema, ref)
-    leak = checker.check_bytes(payload, kind="soak-artifact")
-    if not leak.ok:
-        raise SoakError(f"artifact failed leak check: {leak.summary()}")
-    return SoakRun(
-        report=report, payload=payload, leak_summary=leak.summary()
-    )
+    return SoakRun(report=report, payload=payload, leak_summary=leak_summary)
 
 
 def main(argv=None) -> int:
@@ -577,7 +564,7 @@ def main(argv=None) -> int:
             fault_profile=args.faults,
             sim_hours=args.hours,
         ))
-    except SoakError as exc:
+    except (SoakError, artifacts.ArtifactLeakError) as exc:
         print(f"error: {exc}")
         return 2
 
@@ -598,8 +585,11 @@ def main(argv=None) -> int:
         )
     print(run.leak_summary)
 
+    path = os.path.join(
+        args.out_dir, artifacts.default_artifact_name(SOAK, args.seed)
+    )
     try:
-        path = run.write(args.out_dir)
+        artifacts.write(path, run.payload)
     except OSError as exc:
         print(f"error: could not write artifact: {exc}")
         return 2

@@ -9,13 +9,12 @@ import json
 
 import pytest
 
+from repro import artifacts
 from repro.bench import (
+    BENCH,
     GATED_METRICS,
     SCENARIOS,
-    SCHEMA_VERSION,
     BenchConfig,
-    compare_artifacts,
-    load_artifact,
     run_bench,
     select_scenarios,
 )
@@ -31,6 +30,15 @@ from repro.workload.datagen import DatasetConfig, MedicalDataGenerator
 from repro.workload.queries import QUERY_FAMILIES, demo_query
 
 BENCH_TEST_SCALE = 300
+SCHEMA_VERSION = BENCH.schema_version
+
+
+def compare_artifacts(baseline, current, tolerance=None):
+    return artifacts.compare(BENCH, baseline, current, tolerance)
+
+
+def load_artifact(path):
+    return artifacts.load(path, BENCH)
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +84,7 @@ class TestArtifact:
 
     def test_json_round_trip(self, bench_run, tmp_path):
         path = tmp_path / "artifacts" / "BENCH_test.json"
-        bench_run.write(str(path))
+        artifacts.write(str(path), bench_run.payload)
         loaded = load_artifact(str(path))
         # The redaction gate only touches strings this code authored,
         # so everything the comparator needs survives byte-identically.
@@ -149,7 +157,7 @@ class TestComparator:
         base = _tiny_artifact()
         report = compare_artifacts(base, copy.deepcopy(base))
         assert report.ok
-        assert report.scenarios_compared == 2
+        assert report.rows_compared == 2
         assert "PASS" in report.render()
 
     def test_exact_equal_is_not_a_regression(self):
@@ -167,8 +175,8 @@ class TestComparator:
         report = compare_artifacts(base, worse, tolerance=0.02)
         assert not report.ok
         assert any(
-            d.metric == "sim_seconds" and d.scenario == "alpha"
-            for d in report.regressions
+            f.metric == "sim_seconds" and f.row == "alpha"
+            for f in report.of("regression")
         )
         assert "REGRESSION" in report.render()
 
@@ -185,7 +193,7 @@ class TestComparator:
             better["scenarios"]["alpha"][metric] = 1.0
         report = compare_artifacts(base, better)
         assert report.ok
-        assert report.improvements
+        assert report.of("improved")
 
     def test_missing_scenario_fails(self):
         base = _tiny_artifact()
@@ -193,8 +201,8 @@ class TestComparator:
         del current["scenarios"]["beta"]
         report = compare_artifacts(base, current)
         assert not report.ok
-        assert report.missing_scenarios == ["beta"]
-        assert "missing scenario" in report.render()
+        assert [f.row for f in report.of("missing")] == ["beta"]
+        assert "MISSING beta" in report.render()
 
     def test_new_scenario_warns_but_passes(self):
         base = _tiny_artifact()
@@ -204,8 +212,8 @@ class TestComparator:
         }
         report = compare_artifacts(base, current)
         assert report.ok
-        assert report.new_scenarios == ["gamma"]
-        assert "new scenario" in report.render()
+        assert [f.row for f in report.of("new")] == ["gamma"]
+        assert "new gamma" in report.render()
 
     def test_config_mismatch_fails(self):
         base = _tiny_artifact()
@@ -213,7 +221,45 @@ class TestComparator:
         other["config"]["scale"] = 999
         report = compare_artifacts(base, other)
         assert not report.ok
-        assert any("scale" in e for e in report.config_errors)
+        assert any("scale" in f.metric for f in report.of("config"))
+
+    def test_schema_mismatch_fails(self):
+        base = _tiny_artifact()
+        other = _tiny_artifact(schema_version=SCHEMA_VERSION - 1)
+        report = compare_artifacts(base, other)
+        assert not report.ok
+        assert [f.metric for f in report.of("config")] == ["schema_version"]
+
+    def test_signature_change_fails_at_any_tolerance(self):
+        base = _tiny_artifact()
+        base["scenarios"]["alpha"]["leak_request_signature"] = "0a1b2c3d"
+        moved = copy.deepcopy(base)
+        moved["scenarios"]["alpha"]["leak_request_signature"] = "deadbeef"
+        report = compare_artifacts(base, moved, tolerance=10.0)
+        assert not report.ok
+        assert [f.row for f in report.of("changed")] == ["alpha"]
+        assert "SIGNATURE CHANGED" in report.render()
+
+    def test_fairness_below_floor_fails_even_without_baseline(self):
+        base = _tiny_artifact()
+        current = copy.deepcopy(base)
+        current["scenarios"]["gamma"] = {
+            "fairness_index": 0.5, "fairness_floor": 0.9,
+        }
+        report = compare_artifacts(base, current)
+        assert not report.ok
+        assert [f.row for f in report.of("below-floor")] == ["gamma"]
+        current["scenarios"]["gamma"]["fairness_index"] = 0.95
+        assert compare_artifacts(base, current).ok
+
+    def test_recorder_over_budget_fails(self):
+        base = _tiny_artifact()
+        current = _tiny_artifact(recorder={"overhead_fraction": 0.05})
+        report = compare_artifacts(base, current)
+        assert not report.ok
+        assert report.of("over-ceiling")
+        current["recorder"]["overhead_fraction"] = 0.049
+        assert compare_artifacts(base, current).ok
 
     def test_wall_time_is_never_gated(self):
         base = _tiny_artifact()
@@ -244,8 +290,8 @@ def test_rerun_reproduces_gated_metrics_exactly(bench_run):
     )
     # The re-run skipped the scorecard but ran every scenario: exact
     # equality on every gated metric, at zero tolerance.
-    assert report.scenarios_compared == len(SCENARIOS)
-    assert not report.regressions and not report.improvements
+    assert report.rows_compared == len(SCENARIOS)
+    assert not report.of("regression") and not report.of("improved")
     assert report.ok
 
 

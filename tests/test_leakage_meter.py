@@ -12,12 +12,13 @@ import json
 
 import pytest
 
+from repro import artifacts
 from repro.hardware.usb import Direction
 from repro.privacy.meter import (
     FEATURE_NAMES,
+    LEAKAGE,
     LabeledTrace,
     LeakMeterConfig,
-    compare_leakage,
     evaluate_fingerprinting,
     leakage_workbook,
     profile_records,
@@ -32,6 +33,10 @@ from repro.workload.queries import demo_query
 #: test (signatures, determinism, classifier separation) hold at any
 #: scale.
 METER_TEST_SCALE = 300
+
+
+def compare_leakage(baseline, current):
+    return artifacts.compare(LEAKAGE, baseline, current)
 
 
 @pytest.fixture
@@ -251,8 +256,10 @@ class TestLeakageGate:
         current["families"][name]["observable_bytes"] += 1
         report = compare_leakage(leak_run.artifact, current)
         assert not report.ok
-        assert any("observable_bytes" in line for line in report.widened)
-        assert "CHANNEL WIDENED" in report.render()
+        assert [f.metric for f in report.of("regression")] == [
+            "observable_bytes"
+        ]
+        assert "REGRESSION" in report.render()
 
     def test_narrowed_channel_passes_but_reports(self, leak_run):
         current = copy.deepcopy(leak_run.artifact)
@@ -260,7 +267,7 @@ class TestLeakageGate:
         current["families"][name]["messages"] -= 1
         report = compare_leakage(leak_run.artifact, current)
         assert report.ok
-        assert report.narrowed
+        assert report.of("improved")
 
     def test_signature_change_fails(self, leak_run):
         current = copy.deepcopy(leak_run.artifact)
@@ -268,7 +275,7 @@ class TestLeakageGate:
         current["families"][name]["signatures"] = ["deadbeef"]
         report = compare_leakage(leak_run.artifact, current)
         assert not report.ok
-        assert report.signature_changes
+        assert report.of("changed")
 
     def test_more_accurate_attack_fails(self, leak_run):
         current = copy.deepcopy(leak_run.artifact)
@@ -277,7 +284,7 @@ class TestLeakageGate:
         )
         report = compare_leakage(leak_run.artifact, current)
         assert not report.ok
-        assert report.accuracy_regression
+        assert [f.metric for f in report.of("grew")] == ["classifier.accuracy"]
 
     def test_missing_family_fails(self, leak_run):
         current = copy.deepcopy(leak_run.artifact)
@@ -285,7 +292,7 @@ class TestLeakageGate:
         del current["families"][name]
         report = compare_leakage(leak_run.artifact, current)
         assert not report.ok
-        assert name in report.missing_families
+        assert [f.row for f in report.of("missing")] == [name]
 
     def test_cli_gate_exits_nonzero_on_injected_regression(
         self, leak_run, tmp_path, capsys

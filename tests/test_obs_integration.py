@@ -226,6 +226,21 @@ class TestSessionMetrics:
         assert reg.counter("ghostdb_queries_total").total() == 0
         assert obs_session.obs.tracer.span_count() == 0
 
+    def test_trace_spans_gauge_matches_a_full_walk(self, obs_session):
+        """The running span count equals a walk of every held span,
+        across many queries and after ``clear()``."""
+        tracer = obs_session.obs.tracer
+        gauge = obs_session.obs.registry.gauge("ghostdb_trace_spans")
+        for sql in [demo_query(), query_purpose_only()] * 10:
+            obs_session.query(sql)
+            assert gauge.value() == sum(1 for _ in tracer.spans())
+        assert tracer.span_count() == sum(1 for _ in tracer.spans()) > 0
+        with tracer.span("outer"):
+            tracer.clear()  # the open span survives the clear
+            assert tracer.span_count() == sum(1 for _ in tracer.spans()) == 1
+        obs_session.query(demo_query())
+        assert gauge.value() == sum(1 for _ in tracer.spans())
+
 
 # ----------------------------------------------------------------------
 # Persistence: sessions with observability state stay picklable

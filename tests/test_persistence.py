@@ -135,7 +135,7 @@ def test_failed_save_leaves_previous_file_intact(saved_path):
     assert open(path, "rb").read() == before
     droppings = [
         name for name in os.listdir(os.path.dirname(path))
-        if name.startswith(".ghostdb-session-")
+        if name.startswith(".ghostdb-")
     ]
     assert droppings == []
     restored = GhostDB.restore(path)

@@ -16,15 +16,10 @@ import json
 
 import pytest
 
+from repro import artifacts
 from repro.core.ghostdb import GhostDB, SessionConfig
 from repro.faults import GhostDBFaultError, PowerCutError
-from repro.obs.bundle import (
-    SCHEMA_VERSION,
-    build_bundle,
-    bundle_payload,
-    load_bundle,
-    write_bundle,
-)
+from repro.obs.bundle import POSTMORTEM, build_bundle
 from repro.obs.ledger import RESOURCE_FIELDS, ResourceLedger
 from repro.obs.registry import MetricError, MetricsRegistry
 from repro.privacy.leakcheck import LeakChecker
@@ -32,6 +27,10 @@ from repro.workload.queries import DEMO_SCHEMA_DDL, demo_query
 
 from tests.conftest import build_demo_session
 from tests.test_chaos import MAX_ATTEMPTS, chaos_profile
+
+
+def load_bundle(path: str) -> dict:
+    return artifacts.load(path, POSTMORTEM)
 
 
 def build_session(data, **config_kwargs) -> GhostDB:
@@ -134,14 +133,14 @@ class TestBundle:
     def test_round_trip(self, fresh_session, tmp_path):
         fresh_session.query(demo_query())
         bundle = build_bundle(fresh_session, reason="dump")
-        assert bundle["schema_version"] == SCHEMA_VERSION
+        assert bundle["schema_version"] == POSTMORTEM.schema_version
         assert bundle["ledger"]["total_queries"] == 1
         assert bundle["flight"]["events"]
         assert "ghostdb_queries_total" in bundle["metrics"]
-        path = write_bundle(
-            bundle, directory=str(tmp_path),
-            redactor=fresh_session.obs.redactor,
-        )
+        path = str(tmp_path / "DUMP_0.json")
+        artifacts.write(path, artifacts.payload(
+            POSTMORTEM, bundle, fresh_session.obs.redactor
+        ))
         loaded = load_bundle(path)
         assert loaded["kind"] == "ghostdb-postmortem"
         assert loaded["ledger"]["total_queries"] == 1
