@@ -51,8 +51,8 @@ class Gates:
     """A declarative comparator table for one artifact kind.
 
     Rows live in the artifact's top-level ``rows`` dict (bench
-    scenarios, leakage families).  A row present in the baseline but not
-    the run fails; a new row is reported and passes.
+    scenarios, leakage families).  A row present in only one of the
+    baseline and the run fails: every gated row carries a baseline.
     """
 
     rows: str
@@ -228,17 +228,18 @@ def load(path: str, *specs: ArtifactKind) -> dict:
 # ----------------------------------------------------------------------
 
 #: Report label per finding rule, in render order; the first group fails
-#: the comparison, the last two are informational.
+#: the comparison, the last one is informational.
 _FAILING = {
     "config": "CONFIG MISMATCH",
     "missing": "MISSING",
+    "new": "NO BASELINE",
     "regression": "REGRESSION",
     "changed": "SIGNATURE CHANGED",
     "below-floor": "BELOW FLOOR",
     "over-ceiling": "OVER CEILING",
     "grew": "GREW",
 }
-_INFORMATIONAL = {"improved": "improved", "new": "new"}
+_INFORMATIONAL = {"improved": "improved"}
 
 
 @dataclass(frozen=True)
@@ -341,7 +342,8 @@ def compare(
                             f"< {floor_key} {floor:g}"))
     for name in sorted(set(cur_rows) - set(base_rows)):
         add(Finding("new", name, "",
-                    f"{name} (no baseline -- commit a refreshed one)"))
+                    f"{name} (in this run, not in baseline -- commit a "
+                    f"refreshed one)"))
 
     for path, limit in gates.ceilings:
         value = _get(current, path)

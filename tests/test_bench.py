@@ -204,16 +204,16 @@ class TestComparator:
         assert [f.row for f in report.of("missing")] == ["beta"]
         assert "MISSING beta" in report.render()
 
-    def test_new_scenario_warns_but_passes(self):
+    def test_new_scenario_without_baseline_fails(self):
         base = _tiny_artifact()
         current = copy.deepcopy(base)
         current["scenarios"]["gamma"] = {
             metric: 1.0 for metric in GATED_METRICS
         }
         report = compare_artifacts(base, current)
-        assert report.ok
+        assert not report.ok
         assert [f.row for f in report.of("new")] == ["gamma"]
-        assert "new gamma" in report.render()
+        assert "NO BASELINE gamma" in report.render()
 
     def test_config_mismatch_fails(self):
         base = _tiny_artifact()
@@ -250,7 +250,10 @@ class TestComparator:
         assert not report.ok
         assert [f.row for f in report.of("below-floor")] == ["gamma"]
         current["scenarios"]["gamma"]["fairness_index"] = 0.95
-        assert compare_artifacts(base, current).ok
+        report = compare_artifacts(base, current)
+        assert not report.of("below-floor")
+        # Still failing, but only for the missing baseline row.
+        assert {f.rule for f in report.findings} == {"new"}
 
     def test_recorder_over_budget_fails(self):
         base = _tiny_artifact()
