@@ -1,4 +1,4 @@
-"""The GhostDB facade: one device core plus its default session.
+"""The GhostDB facade: one device core plus its console session.
 
 A :class:`GhostDB` spans both sides of the boundary -- the simulated
 smart USB device (hidden side), the visible site (PC / public server),
@@ -13,15 +13,15 @@ The API mirrors how the paper describes use:
   plan, and the result comes back via the secure rendering path, never
   over the observable link.
 
-Since the multi-session split, the facade is thin: everything shared
-(hardware, loaded data, device-wide observability, fault state, session
-admission) lives in a :class:`~repro.core.session.DeviceCore`, and
-everything per-caller (executor/optimizer wiring, leak scorecards,
-traces) lives in a :class:`~repro.core.session.SessionContext`.  The
-facade binds a core to its *default session* -- the classic
-single-caller wiring, bit-identical to the pre-split engine -- and
-:meth:`open_session` admits additional leased sessions that the
-cooperative scheduler can interleave.
+The facade is thin: everything shared (hardware, loaded data,
+device-wide observability, fault state, session admission) lives in a
+:class:`~repro.core.session.DeviceCore`, and everything per-caller
+(executor/optimizer wiring, leak scorecards, traces) lives in a
+:class:`~repro.core.session.SessionContext`.  The facade drives the
+*console* -- an ordinary session over the device's own full-RAM lease,
+which the cooperative scheduler can interleave like any other -- and
+:meth:`open_session` admits further sessions on partitions of the
+secure RAM.
 
 Example::
 
@@ -45,7 +45,7 @@ from repro.core.session import (
     SessionError,
 )
 from repro.engine.executor import QueryResult
-from repro.faults import FaultInjector, FaultProfile, GhostDBFaultError
+from repro.faults import FaultInjector, FaultProfile
 from repro.hardware.device import default_cache_pages
 from repro.hardware.profiles import DEMO_DEVICE, HardwareProfile
 from repro.obs import get_logger
@@ -95,10 +95,14 @@ class GhostDB:
         self.config = config or SessionConfig()
         self.core = DeviceCore(profile, self.config)
         self.core.owner = self
-        #: The default session: full-RAM, un-leased, bit-identical to
-        #: the pre-split single-caller engine.
+        #: The console: an ordinary session over the device's own
+        #: full-RAM lease, sharing the device-wide observability bundle.
         self.session = SessionContext(
-            core=self.core, name="default", config=self.config, lease=None
+            core=self.core,
+            name="default",
+            config=self.config,
+            lease=self.core.console,
+            obs=self.core.obs,
         )
 
     # ------------------------------------------------------------------
@@ -138,7 +142,7 @@ class GhostDB:
         return self.core.fault_injector
 
     # ------------------------------------------------------------------
-    # Default-session state
+    # Console state
     # ------------------------------------------------------------------
 
     @property
@@ -187,22 +191,16 @@ class GhostDB:
         """
         from repro.engine.maintenance import append_rows
 
-        session = self.session
-        session._require_loaded()
-        session._guard_powered()
-        table_def = self.schema.table(table)
-        validated = [
-            tuple(
-                col.dtype.validate(value)
-                for col, value in zip(table_def.columns, row)
-            )
-            for row in rows
-        ]
-        try:
+        with self.session._statement():
+            table_def = self.schema.table(table)
+            validated = [
+                tuple(
+                    col.dtype.validate(value)
+                    for col, value in zip(table_def.columns, row)
+                )
+                for row in rows
+            ]
             report = append_rows(self.hidden, table, validated)
-        except GhostDBFaultError as exc:
-            session._abort_on_fault(exc)
-            raise
         self.site.append(table, validated)
         return report
 
@@ -216,8 +214,8 @@ class GhostDB:
         ram_bytes: int | None = None,
         config: SessionConfig | None = None,
     ) -> SessionContext:
-        """Admit an additional leased session (its own RAM partition,
-        buffer pool and measurement plane).  Raises
+        """Admit a further session (its own RAM partition, buffer pool
+        and measurement plane).  Raises
         :class:`AdmissionError` when the session cap or the secure RAM
         budget is exhausted."""
         return self.core.open_session(
@@ -287,7 +285,7 @@ class GhostDB:
         return self.device.page_cache.enabled
 
     # ------------------------------------------------------------------
-    # Queries (default session)
+    # Queries (console)
     # ------------------------------------------------------------------
 
     def bind(self, sql: str):

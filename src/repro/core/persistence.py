@@ -37,9 +37,10 @@ from repro.obs.log import get_logger
 log = get_logger(__name__)
 
 MAGIC = b"GHOSTDB-SESSION"
-#: v3: the session pickles as a DeviceCore + SessionContext graph
-#: (multi-session split); v2 monolithic files are refused.
-VERSION = 3
+#: v4: the device holds its session planes (the console's is one
+#: :class:`~repro.hardware.device.HardwareLease`); v3 files, whose
+#: console had no lease, and older ones are refused.
+VERSION = 4
 
 #: Header after MAGIC: version (2 B) + payload length (8 B) + CRC32 (4 B).
 _LEN_BYTES = 8

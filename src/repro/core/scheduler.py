@@ -104,7 +104,7 @@ class _Runner:
 
 @dataclass
 class Scheduler:
-    """Deficit-round-robin interleaver for leased sessions.
+    """Deficit-round-robin interleaver for sessions (the console too).
 
     Usage::
 
@@ -126,16 +126,12 @@ class Scheduler:
     _runners: list[_Runner] = field(default_factory=list)
 
     def submit(self, session: SessionContext, sql: str) -> QueryTicket:
-        """Enqueue one statement on a leased session."""
-        if session.lease is None:
-            raise SessionError(
-                "only leased sessions are schedulable; open one with "
-                "open_session()"
-            )
+        """Enqueue one statement on a session."""
         if session.core is not self.core:
             raise SessionError(
                 f"session {session.name!r} belongs to a different device"
             )
+        self.core._register_session_families()
         ticket = QueryTicket(
             index=len(self.tickets),
             session=session.name,

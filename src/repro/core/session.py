@@ -10,25 +10,27 @@ that story implies:
   loaded catalog/visible/hidden data, the device-wide observability
   (metrics registry, flight recorder, redactor), fault injection, and
   the admission ledger that hands out per-session RAM partitions.
-* :class:`SessionContext` -- everything each open session owns
-  privately: its RAM partition and buffer pool (a :class:`HardwareLease`),
-  its simulated-time account, its USB capture, its tracer and resource
-  ledger, its leak scorecard, and its own executor/optimizer/link wired
-  against a :class:`SessionDevice` view of the shared hardware.
+* :class:`SessionContext` -- everything each session owns privately: its
+  plane (a :class:`~repro.hardware.device.HardwareLease`: RAM partition,
+  buffer pool, simulated-time account, USB capture, flash op counters),
+  its tracer and resource ledger, its leak scorecard, and its own
+  executor/optimizer/link wired against the shared device.
 
-The **default session** (``lease=None``) runs against the real device
-objects with no indirection at all -- it is bit-for-bit the
-single-caller engine every committed baseline was measured on.  Leased
-sessions get a partition of the secure RAM and a private measurement
-plane; the cooperative scheduler (:mod:`repro.core.scheduler`)
-interleaves them at batch-window boundaries by *activating* one lease at
-a time (:meth:`DeviceCore.activated`).
+There is one session model.  The console -- the terminal the
+:class:`~repro.core.ghostdb.GhostDB` facade drives -- is an ordinary
+session over the device's own full-RAM lease, the one that carries the
+``ghostdb_device_*`` metric sinks; it is outside the admission ledger
+and cannot be closed.  :meth:`DeviceCore.open_session` admits further
+sessions on partitions of the secure RAM, and the cooperative scheduler
+(:mod:`repro.core.scheduler`) interleaves any of them at batch-window
+boundaries by *activating* one lease at a time
+(:meth:`DeviceCore.activated`); leaving points the device back at the
+console's.
 
-Activation swaps the device's volatile per-session surfaces -- RAM
-budget, buffer pool, flash op counters, USB capture log -- for the
-lease's, tees every simulated-clock charge into the lease's private
-clock, and mirrors every USB record into the device-lifetime log.  The
-result is the invariant the whole refactor hangs on: a session's rows,
+The device reads RAM, pool, flash counters and USB capture from the
+active plane and charges every clock tick and USB record to it as well
+as to the device-wide timeline and traffic log.  The result is the
+invariant the whole design hangs on: a session's rows,
 :class:`~repro.engine.metrics.ExecutionMetrics` diffs and leak
 signatures are bit-identical whether its statements ran alone or
 interleaved with any number of other sessions, while the device log
@@ -37,13 +39,13 @@ still shows the spy the full interleaved traffic stream.
 
 from __future__ import annotations
 
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 from repro.catalog.schema import Schema, SchemaError
 from repro.catalog.tree import SchemaTree
 from repro.engine.database import HiddenDatabase
-from repro.engine.executor import DmlResult, ExecConfig, Executor, QueryResult
+from repro.engine.executor import ExecConfig, Executor, QueryResult
 from repro.engine.plan import DeletePlan, Project, UpdatePlan
 from repro.faults import (
     FAULT_PROFILES,
@@ -52,12 +54,9 @@ from repro.faults import (
     GhostDBFaultError,
     PowerCutError,
 )
-from repro.hardware.clock import SimClock
-from repro.hardware.device import DeviceCounters, SmartUsbDevice
-from repro.hardware.flash import FlashStats
-from repro.hardware.pagecache import CacheStats, PageCache
+from repro.hardware.device import HardwareLease, SmartUsbDevice
+from repro.hardware.pagecache import PageCache
 from repro.hardware.profiles import DEMO_DEVICE, HardwareProfile
-from repro.hardware.ram import RamBudget
 from repro.obs import Observability, get_logger
 from repro.optimizer.optimizer import Optimizer, RankedPlan
 from repro.optimizer.space import PlanBuilder, Strategy
@@ -97,180 +96,20 @@ class SessionConfig:
     #: default (a quarter of RAM), ``0`` disables the pool.
     cache_pages: int | None = None
     #: Flight-recorder ring capacity in events (``None`` takes the
-    #: recorder default) and enablement.  The ring is host memory,
-    #: accounted outside the device's secure RAM budget.
+    #: recorder default).  The ring is host memory, accounted outside
+    #: the device's secure RAM budget.
     flight_capacity: int | None = None
-    flight_enabled: bool = True
     #: Write a postmortem bundle (``DUMP_<seed>.json`` in ``dump_dir``)
     #: whenever an injected fault aborts a query.
     dump_on_fault: bool = False
     dump_dir: str = "."
-    #: Most sessions that may be open against one device at once (the
-    #: default session is the console and is not counted).
+    #: Most sessions that may be opened against one device at once (the
+    #: console holds the device's own lease and is not counted).
     max_sessions: int = 8
 
     def __post_init__(self):
         if self.exec_config is None:
             self.exec_config = ExecConfig()
-
-
-class HardwareLease:
-    """One session's partition of the device's volatile resources.
-
-    A lease owns the four things that make a session's measurements
-    private: a RAM budget carved out of the secure chip's RAM, a buffer
-    pool over that budget, a simulated clock that starts at zero, and a
-    USB capture log plus flash op counters of its own.  Flash contents,
-    the FTL map and the secure chip are *not* leased -- they are the
-    shared database.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        profile: HardwareProfile,
-        ram_bytes: int,
-        cache_pages: int | None = None,
-        flight=None,
-    ):
-        self.name = name
-        self.capacity = ram_bytes
-        #: Private simulated-time account, fed by the device clock's tee
-        #: while this lease is active.  Starts at zero like a
-        #: single-session device's clock, so per-query time diffs are
-        #: bit-identical to a serial run.
-        self.clock = SimClock()
-        #: The session's RAM partition.  No metrics sink: the device
-        #: gauges track the root budget; per-session peaks surface via
-        #: ``ghostdb_session_ram_high_water_bytes``.
-        self.ram = RamBudget(capacity=ram_bytes, flight=flight)
-        self.flash_stats = FlashStats()
-        if cache_pages is None:
-            # Same shape as the device default: a quarter of (partition)
-            # RAM, so a full-RAM lease behaves exactly like the classic
-            # single-session device.
-            cache_pages = ram_bytes // (4 * profile.page_size)
-        self.cache = PageCache(
-            budget=self.ram,
-            page_size=profile.page_size,
-            capacity_pages=cache_pages,
-        )
-        self.cache.flight = flight
-        self.usb_log: list = []
-        self.bytes_to_device = 0
-        self.bytes_to_host = 0
-
-    @property
-    def firm_ram_used(self) -> int:
-        """Non-reclaimable bytes currently reserved -- the number that
-        must be zero once a session has no query in flight."""
-        return self.ram.used - self.ram.reclaimable_used
-
-
-class SessionDevice:
-    """A leased session's view of the shared device.
-
-    Hardware that exists once (clock, flash, FTL, chip, USB channel,
-    fault injector, flight recorder) resolves to the real device;
-    volatile per-session surfaces (RAM budget, buffer pool) resolve to
-    the lease; and :meth:`counters` is assembled entirely from lease
-    state, so :class:`~repro.engine.metrics.ExecutionMetrics` diffs
-    taken through this view are session-pure no matter what other
-    sessions did in between.
-    """
-
-    def __init__(self, core: "DeviceCore", lease: HardwareLease):
-        self._core = core
-        self._lease = lease
-
-    # -- shared hardware -------------------------------------------------
-    @property
-    def profile(self):
-        return self._core.device.profile
-
-    @property
-    def clock(self):
-        return self._core.device.clock
-
-    @property
-    def flash(self):
-        return self._core.device.flash
-
-    @property
-    def ftl(self):
-        return self._core.device.ftl
-
-    @property
-    def chip(self):
-        return self._core.device.chip
-
-    @property
-    def usb(self):
-        return self._core.device.usb
-
-    @property
-    def faults(self):
-        return self._core.device.faults
-
-    @property
-    def flight(self):
-        return self._core.device.flight
-
-    @property
-    def metrics(self):
-        return self._core.device.metrics
-
-    # -- leased surfaces -------------------------------------------------
-    @property
-    def ram(self):
-        return self._lease.ram
-
-    @property
-    def page_cache(self):
-        return self._lease.cache
-
-    # -- session-pure measurement ---------------------------------------
-    def counters(self) -> DeviceCounters:
-        lease = self._lease
-        if self._core.active_lease is lease:
-            # The live byte totals sit on the channel while activated;
-            # the lease copies are only synced on deactivation.
-            usb = self._core.device.usb
-            to_device, to_host = usb.bytes_to_device, usb.bytes_to_host
-        else:
-            to_device, to_host = lease.bytes_to_device, lease.bytes_to_host
-        return DeviceCounters(
-            time=lease.clock.breakdown(),
-            flash=lease.flash_stats.snapshot(),
-            ram_high_water=lease.ram.high_water,
-            usb_messages=len(lease.usb_log),
-            usb_bytes_to_device=to_device,
-            usb_bytes_to_host=to_host,
-            cache=lease.cache.stats.snapshot(),
-        )
-
-    def reset_measurements(self) -> None:
-        lease = self._lease
-        lease.clock.reset()
-        lease.usb_log.clear()
-        fresh = FlashStats()
-        lease.flash_stats = fresh
-        lease.bytes_to_device = 0
-        lease.bytes_to_host = 0
-        if self._core.active_lease is lease:
-            device = self._core.device
-            device.flash.stats = fresh
-            device.usb.bytes_to_device = 0
-            device.usb.bytes_to_host = 0
-        lease.ram.reset_high_water()
-        lease.cache.clear()
-        lease.cache.stats = CacheStats()
-
-    def __repr__(self) -> str:
-        return (
-            f"SessionDevice(lease={self._lease.name!r}, "
-            f"ram={self._lease.capacity}B)"
-        )
 
 
 class DeviceCore:
@@ -279,9 +118,10 @@ class DeviceCore:
     Owns the simulated hardware, the device-wide observability bundle,
     the loaded database (catalog, visible site, hidden side), fault
     injection and recovery state -- and the multiplexing machinery:
-    the lease ledger that partitions secure RAM across sessions, the
-    peer-cache list the FTL broadcasts invalidations to, and the
-    activation swap the scheduler wraps around every step.
+    the console's lease, the ledger that partitions secure RAM across
+    further sessions, the peer-cache list the FTL broadcasts
+    invalidations to, and the activation the scheduler wraps around
+    every step.
     """
 
     def __init__(
@@ -291,10 +131,7 @@ class DeviceCore:
     ):
         self.profile = profile
         self.config = config or SessionConfig()
-        self.obs = Observability(
-            flight_capacity=self.config.flight_capacity,
-            flight_enabled=self.config.flight_enabled,
-        )
+        self.obs = Observability(flight_capacity=self.config.flight_capacity)
         self.device = SmartUsbDevice(
             profile,
             metrics=self.obs.registry,
@@ -315,15 +152,18 @@ class DeviceCore:
         self._pending_inserts: dict[str, list[tuple]] = {}
         self.fault_injector: FaultInjector | None = None
         self.needs_remount = False
-        #: Open leased sessions by name (the default session is not
-        #: listed; it is the console, outside the admission ledger).
+        #: The console's lease: the device's own full-RAM plane over
+        #: the root budget and pool (the ``ghostdb_device_*`` sinks),
+        #: active whenever no other session's step is running.
+        self.console: HardwareLease = self.device.plane
+        #: Opened sessions by name (the console is not listed; it is
+        #: outside the admission ledger).
         self.sessions: dict[str, SessionContext] = {}
         self._session_serial = 0
-        #: Every live page cache over this device's FTL, root pool
+        #: Every live page cache over this device's FTL, the console's
         #: included; writes broadcast invalidations across all of them.
-        self._peer_caches: list[PageCache] = [self.device.page_cache]
+        self._peer_caches: list[PageCache] = [self.console.cache]
         self.device.ftl.peer_caches = self._peer_caches
-        self.active_lease: HardwareLease | None = None
         #: Facade backref (set by GhostDB) for postmortem bundles.
         self.owner = None
 
@@ -403,7 +243,8 @@ class DeviceCore:
         reset, configured faults."""
         # Schema identifiers (names, never values) may appear in traces.
         self.obs.redactor.allow_schema(self.schema)
-        # Loading is not part of any query measurement.
+        # Loading is not part of any query measurement: zero the
+        # timeline and the console's plane together.
         self.device.reset_measurements()
         if self.config.fault_profile:
             self.set_faults(self.config.fault_profile, self.config.fault_seed)
@@ -458,7 +299,7 @@ class DeviceCore:
         every recovered page the catalog no longer references.
         Idempotent; safe to call on a healthy device.
         """
-        if self.active_lease is not None:
+        if self.device.plane is not self.console:
             raise SessionError("cannot remount while a session is active")
         self.device.remount()
         # The recovery scan built a fresh FTL: re-point it at the full
@@ -485,11 +326,7 @@ class DeviceCore:
     @property
     def leased_bytes(self) -> int:
         """Secure RAM currently partitioned out to open sessions."""
-        return sum(
-            ctx.lease.capacity
-            for ctx in self.sessions.values()
-            if ctx.lease is not None
-        )
+        return sum(ctx.lease.capacity for ctx in self.sessions.values())
 
     def open_session(
         self,
@@ -539,14 +376,22 @@ class DeviceCore:
             )
         session_config = config if config is not None else self.config
         lease = HardwareLease(
-            name,
             self.profile,
             ram_bytes,
             cache_pages=session_config.cache_pages,
             flight=self.obs.flight,
         )
         ctx = SessionContext(
-            core=self, name=name, config=session_config, lease=lease
+            core=self,
+            name=name,
+            config=session_config,
+            lease=lease,
+            obs=Observability(
+                clock=self.device.clock,
+                registry=self.obs.registry,
+                flight=self.obs.flight,
+                redactor=self.obs.redactor,
+            ),
         )
         ctx.attach()
         self.sessions[name] = ctx
@@ -562,7 +407,7 @@ class DeviceCore:
         """Release a leased session's RAM partition and admission slot."""
         if self.sessions.get(session.name) is not session:
             raise SessionError(f"session {session.name!r} is not open")
-        if self.active_lease is session.lease:
+        if self.device.plane is session.lease:
             raise SessionError("cannot close a session mid-step")
         del self.sessions[session.name]
         session.closed = True
@@ -579,7 +424,8 @@ class DeviceCore:
 
     def _register_session_families(self) -> None:
         """Multi-session metric families, registered when the first
-        lease opens (so single-session expositions are unchanged)."""
+        session opens or a statement is scheduled (so console-only
+        expositions are unchanged)."""
         reg = self.obs.registry
         reg.gauge(
             "ghostdb_sessions_open", "leased sessions currently open"
@@ -616,83 +462,44 @@ class DeviceCore:
         )
 
     # ------------------------------------------------------------------
-    # Activation: swap one lease's volatile surfaces into the device
+    # Activation: point the device at one session's plane
     # ------------------------------------------------------------------
 
     @contextmanager
-    def activated(self, lease: HardwareLease | None):
-        """Run a block with ``lease``'s volatile surfaces swapped into
-        the shared device.
+    def activated(self, lease: HardwareLease):
+        """Run a block with ``lease`` as the device's active plane.
 
-        ``None`` (the default session) and re-entry with the already
-        active lease are no-ops.  While active: RAM allocations land in
-        the lease's partition, the buffer pool is the lease's, flash op
-        counters and the USB capture are the lease's, every clock charge
-        is teed into the lease's private clock, and every USB record is
-        mirrored into the device-lifetime log -- the spy's interleaved
-        view.  Cooperative, not concurrent: nesting two different
-        leases is a scheduling bug and raises.
+        Re-entry with the already active lease is a no-op, and so is the
+        console's lease outside any other step.  On exit the device
+        points back at the console's lease.  Cooperative, not
+        concurrent: activating one lease inside another's step is a
+        scheduling bug and raises.
         """
-        if lease is None or self.active_lease is lease:
+        device = self.device
+        if device.plane is lease:
             yield
             return
-        if self.active_lease is not None:
+        if device.plane is not self.console:
             raise SessionError(
                 "cannot activate a lease while another is active"
             )
-        device = self.device
-        usb = device.usb
-        saved = (
-            device.ram,
-            device.page_cache,
-            device.ftl.cache,
-            device.flash.stats,
-            usb.log,
-            usb.bytes_to_device,
-            usb.bytes_to_host,
-        )
-        device.ram = lease.ram
-        device.page_cache = lease.cache
-        device.ftl.cache = lease.cache
-        device.flash.stats = lease.flash_stats
-        usb.log = lease.usb_log
-        usb.bytes_to_device = lease.bytes_to_device
-        usb.bytes_to_host = lease.bytes_to_host
-        usb.mirror = saved[4]
-        device.clock.tee = lease.clock
-        self.active_lease = lease
+        device.activate(lease)
         try:
             yield
         finally:
-            lease.bytes_to_device = usb.bytes_to_device
-            lease.bytes_to_host = usb.bytes_to_host
-            # The swapped-in stats object may have been replaced by a
-            # mid-step reset; keep whatever is current as the lease's.
-            lease.flash_stats = device.flash.stats
-            (
-                device.ram,
-                device.page_cache,
-                device.ftl.cache,
-                device.flash.stats,
-                usb.log,
-                usb.bytes_to_device,
-                usb.bytes_to_host,
-            ) = saved
-            usb.mirror = None
-            device.clock.tee = None
-            self.active_lease = None
+            device.activate(self.console)
 
 
 class SessionContext:
     """One session's private state and statement surface.
 
-    The default session (``lease=None``) shares the device-wide
-    observability bundle and talks to the real device -- the classic
-    single-caller wiring.  Leased sessions own a tracer and resource
-    ledger (sharing the registry, flight recorder and redactor), talk
-    to the device through a :class:`SessionDevice` view, and must run
-    under :meth:`DeviceCore.activated` -- which :meth:`execute` does
-    itself, and the scheduler does per step.
+    A session owns a :class:`~repro.hardware.device.HardwareLease` (its
+    plane), an observability bundle (the console's is the device-wide
+    one; an opened session gets a private tracer and ledger sharing the
+    registry, flight recorder and redactor), and an executor, optimizer
+    and link wired against the shared device.  Every device-touching
+    statement runs with the session's lease active -- the statement
+    surface activates it itself, and the scheduler does so per step.
     """
 
     def __init__(
@@ -700,24 +507,16 @@ class SessionContext:
         core: DeviceCore,
         name: str,
         config: SessionConfig,
-        lease: HardwareLease | None = None,
+        lease: HardwareLease,
+        obs: Observability,
     ):
         self.core = core
         self.name = name
         self.config = config
         self.lease = lease
+        self.obs = obs
+        self.device = core.device
         self.closed = False
-        if lease is None:
-            self.obs = core.obs
-            self.device = core.device
-        else:
-            self.obs = Observability(
-                clock=core.device.clock,
-                registry=core.obs.registry,
-                flight=core.obs.flight,
-                redactor=core.obs.redactor,
-            )
-            self.device = SessionDevice(core, lease)
         self.link: DeviceLink | None = None
         self.executor: Executor | None = None
         self.optimizer: Optimizer | None = None
@@ -734,18 +533,13 @@ class SessionContext:
     def attach(self) -> None:
         """Wire link/executor/optimizer against the loaded database.
 
-        Batch sizes scale with the RAM the session actually has -- the
-        full chip for the default session, the partition for a lease --
-        so a full-RAM lease behaves exactly like the classic device.
+        Batch sizes and the cost model scale with the lease's RAM, so a
+        full-RAM lease behaves exactly like the console.
         """
         core = self.core
         if core.tree is None:
             raise SessionError("load data before attaching sessions")
-        ram_bytes = (
-            core.profile.ram_bytes
-            if self.lease is None
-            else self.lease.capacity
-        )
+        ram_bytes = self.lease.capacity
         # Receive buffers are real allocations, so a 16 KB partition
         # cannot afford 64 KB-class batches.
         id_batch = min(self.config.id_batch, max(32, ram_bytes // 256))
@@ -767,26 +561,14 @@ class SessionContext:
         self.executor = Executor(
             self.device, self.link, core.hidden, exec_config, obs=self.obs
         )
-        cost_profile = (
-            core.profile
-            if self.lease is None
-            else replace(core.profile, ram_bytes=ram_bytes)
-        )
         self.optimizer = Optimizer(
             core.hidden,
             core.site,
-            cost_profile,
+            replace(core.profile, ram_bytes=ram_bytes),
             fan_in=self.config.exec_config.max_fan_in,
             bloom_fp_target=self.config.exec_config.bloom_fp_target,
             obs=self.obs,
-            cache_pages=self.device.page_cache.capacity_for_costing,
-        )
-
-    def _activated(self):
-        return (
-            nullcontext()
-            if self.lease is None
-            else self.core.activated(self.lease)
+            cache_pages=self.lease.cache.capacity_for_costing,
         )
 
     def _require_loaded(self) -> None:
@@ -817,6 +599,26 @@ class SessionContext:
                 directory=self.config.dump_dir,
             )
 
+    @contextmanager
+    def _statement(self):
+        """The one gate every device-touching statement passes.
+
+        Checks that data is loaded, the session open and the device
+        powered; runs the block with this session's lease active (a
+        no-op inside a scheduler step, which already activated it); and
+        files a fault abort -- a power cut demands a remount -- before
+        the fault propagates.
+        """
+        self._require_loaded()
+        self._require_open()
+        self._guard_powered()
+        with self.core.activated(self.lease):
+            try:
+                yield
+            except GhostDBFaultError as exc:
+                self._abort_on_fault(exc)
+                raise
+
     # ------------------------------------------------------------------
     # Statement surface
     # ------------------------------------------------------------------
@@ -830,9 +632,9 @@ class SessionContext:
         if isinstance(statement, ast.Insert):
             return self.core.buffer_insert(statement)
         if isinstance(statement, ast.Select):
-            return self._run_select(statement, sql)
+            return self._drain(self._select_steps(statement, sql))
         if isinstance(statement, (ast.Update, ast.Delete)):
-            return self._run_dml(statement, sql)
+            return self._drain(self._dml_steps(statement, sql))
         raise SessionError(f"unsupported statement {type(statement).__name__}")
 
     def query(self, sql: str) -> QueryResult:
@@ -866,6 +668,15 @@ class SessionContext:
             "the scheduler runs SELECT, UPDATE and DELETE statements"
         )
 
+    @staticmethod
+    def _drain(steps):
+        """Run a step generator to completion."""
+        while True:
+            try:
+                next(steps)
+            except StopIteration as stop:
+                return stop.value
+
     # ------------------------------------------------------------------
     # SELECT
     # ------------------------------------------------------------------
@@ -878,91 +689,66 @@ class SessionContext:
         """
         self.link.announce(sql)
 
-    def _run_select(self, statement: ast.Select, sql: str = "") -> QueryResult:
-        return self._drain(self._select_steps(statement, sql))
-
-    def _drain(self, steps):
-        """Run a step generator to completion under activation."""
-        with self._activated():
-            while True:
-                try:
-                    next(steps)
-                except StopIteration as stop:
-                    return stop.value
-
     def _select_steps(self, statement: ast.Select, sql: str = ""):
-        self._require_loaded()
-        self._require_open()
-        self._guard_powered()
-        mark = len(self.device.usb.log)
-        with self.obs.tracer.span("query", category="session") as span:
-            if sql:
-                # The SQL text passes the redaction gate: constants (which
-                # may name hidden values) come out as '?', identifiers stay.
-                span.set("sql", " ".join(sql.split()))
-            try:
+        with self._statement():
+            mark = len(self.lease.usb.log)
+            with self.obs.tracer.span("query", category="session") as span:
                 if sql:
-                    self._announce_query(sql)
-                bound = Binder(self.core.tree).bind(statement)
-                ranked = self.optimizer.optimize(bound)
-                result = yield from self.executor.execute_steps(ranked.plan)
-            except GhostDBFaultError as exc:
-                span.set("aborted", type(exc).__name__)
-                self._abort_on_fault(exc)
-                raise
-            span.set("result_rows", result.row_count)
-            self._meter_leakage(mark, span)
+                    # The SQL text passes the redaction gate: constants
+                    # (which may name hidden values) come out as '?',
+                    # identifiers stay.
+                    span.set("sql", " ".join(sql.split()))
+                try:
+                    if sql:
+                        self._announce_query(sql)
+                    bound = Binder(self.core.tree).bind(statement)
+                    ranked = self.optimizer.optimize(bound)
+                    result = yield from self.executor.execute_steps(
+                        ranked.plan
+                    )
+                except GhostDBFaultError as exc:
+                    span.set("aborted", type(exc).__name__)
+                    raise
+                span.set("result_rows", result.row_count)
+                self._meter_leakage(mark, span)
         return result
 
     # ------------------------------------------------------------------
     # DML
     # ------------------------------------------------------------------
 
-    def _run_dml(
-        self, statement: ast.Update | ast.Delete, sql: str = ""
-    ) -> DmlResult:
-        with self._activated():
-            return self._run_dml_inner(statement, sql)
-
-    def _dml_steps(self, statement, sql: str = ""):
-        return self._run_dml_inner(statement, sql)
-        # A rebuild transaction is not preemptible: the scheduler gets
-        # exactly one (atomic) step.  The unreachable yield makes this
-        # function a generator like _select_steps.
-        yield  # pragma: no cover
-
-    def _run_dml_inner(
-        self, statement: ast.Update | ast.Delete, sql: str = ""
-    ) -> DmlResult:
+    def _dml_steps(self, statement: ast.Update | ast.Delete, sql: str = ""):
         """Run one UPDATE or DELETE as an atomic rebuild transaction.
 
         DML travels the secure channel like appends do -- its text may
         name hidden values, so unlike SELECT it is *not* announced over
         the spied USB link; read-scenario leak signatures are untouched.
+        A rebuild transaction is not preemptible: the scheduler gets
+        exactly one (atomic) step.
         """
-        self._require_loaded()
-        self._require_open()
-        self._guard_powered()
-        with self.obs.tracer.span("dml", category="session") as span:
-            if sql:
-                # Same redaction bar as queries: constants come out as
-                # '?' on export, identifiers stay.
-                span.set("sql", " ".join(sql.split()))
-            try:
-                if isinstance(statement, ast.Update):
-                    bound = Binder(self.core.tree).bind_update(statement)
-                    plan = UpdatePlan(bound)
-                else:
-                    bound = Binder(self.core.tree).bind_delete(statement)
-                    plan = DeletePlan(bound)
-                result = self.executor.execute_dml(plan, self.core.site)
-            except GhostDBFaultError as exc:
-                span.set("aborted", type(exc).__name__)
-                self._abort_on_fault(exc)
-                raise
-            span.set("matched", result.matched)
-            span.set("changed", result.changed)
+        with self._statement():
+            with self.obs.tracer.span("dml", category="session") as span:
+                if sql:
+                    # Same redaction bar as queries: constants come out
+                    # as '?' on export, identifiers stay.
+                    span.set("sql", " ".join(sql.split()))
+                try:
+                    if isinstance(statement, ast.Update):
+                        bound = Binder(self.core.tree).bind_update(statement)
+                        plan = UpdatePlan(bound)
+                    else:
+                        bound = Binder(self.core.tree).bind_delete(statement)
+                        plan = DeletePlan(bound)
+                    result = self.executor.execute_dml(plan, self.core.site)
+                except GhostDBFaultError as exc:
+                    span.set("aborted", type(exc).__name__)
+                    raise
+                span.set("matched", result.matched)
+                span.set("changed", result.changed)
         return result
+        # The unreachable yield makes this function a generator like
+        # _select_steps.
+        yield  # pragma: no cover
 
     # ------------------------------------------------------------------
     # Plan-level surfaces
@@ -971,9 +757,8 @@ class SessionContext:
     def query_with_strategy(self, sql: str, strategy: Strategy) -> QueryResult:
         """Execute with an explicit PRE/POST assignment (the demo GUI's
         ad-hoc plan building)."""
-        self._guard_powered()
-        with self._activated():
-            mark = len(self.device.usb.log)
+        with self._statement():
+            mark = len(self.lease.usb.log)
             with self.obs.tracer.span("query", category="session") as span:
                 span.set("sql", " ".join(sql.split()))
                 try:
@@ -986,15 +771,13 @@ class SessionContext:
                     result = self.executor.execute(plan)
                 except GhostDBFaultError as exc:
                     span.set("aborted", type(exc).__name__)
-                    self._abort_on_fault(exc)
                     raise
                 self._meter_leakage(mark, span)
         return result
 
     def execute_plan(self, plan: Project) -> QueryResult:
         """Execute a hand-built plan (demo phase 2/3)."""
-        self._require_loaded()
-        with self._activated():
+        with self._statement():
             return self.executor.execute(plan)
 
     def rank_plans(self, sql: str) -> list[RankedPlan]:
@@ -1015,17 +798,12 @@ class SessionContext:
         statistics per node (plus the result itself)."""
         from repro.optimizer.explain import explain_analyze
 
-        self._guard_powered()
-        with self._activated():
-            mark = len(self.device.usb.log)
-            try:
-                self._announce_query(sql)
-                bound = self.bind(sql)
-                best = self.optimizer.optimize(bound)
-                result = self.executor.execute(best.plan)
-            except GhostDBFaultError as exc:
-                self._abort_on_fault(exc)
-                raise
+        with self._statement():
+            mark = len(self.lease.usb.log)
+            self._announce_query(sql)
+            bound = self.bind(sql)
+            best = self.optimizer.optimize(bound)
+            result = self.executor.execute(best.plan)
             self._meter_leakage(mark)
         report = explain_analyze(best.plan, self.optimizer.cost_model)
         measured = result.metrics.elapsed_seconds
@@ -1043,13 +821,13 @@ class SessionContext:
     def _meter_leakage(self, mark: int, span=None) -> None:
         """Profile the boundary traffic one query generated.
 
-        ``mark`` is the USB log length before the query started.  The
-        profile feeds the ``ghostdb_leak_*`` metric families and -- as
-        numbers only, same bar as every span attribute -- annotates the
-        query span, so traces show what each query *looked like* from
-        the spy's side of the boundary.
+        ``mark`` is the session's USB capture length before the query
+        started.  The profile feeds the ``ghostdb_leak_*`` metric
+        families and -- as numbers only, same bar as every span
+        attribute -- annotates the query span, so traces show what each
+        query *looked like* from the spy's side of the boundary.
         """
-        records = self.device.usb.log[mark:]
+        records = self.lease.usb.log[mark:]
         if not records:
             return
         profile = profile_records(records)
@@ -1076,24 +854,20 @@ class SessionContext:
     @property
     def usb_log(self):
         """This session's captured trust-boundary traffic."""
-        if self.lease is None:
-            return self.core.device.usb.records()
-        return list(self.lease.usb_log)
+        return list(self.lease.usb.log)
 
     # ------------------------------------------------------------------
     # Housekeeping
     # ------------------------------------------------------------------
 
     def reset_measurements(self) -> None:
-        """Zero this session's measurement plane (not the shared
-        registry -- other sessions' totals live there too)."""
-        self.device.reset_measurements()
+        """Zero this session's plane (not the shared registry or the
+        device timeline -- other sessions' totals live there too)."""
+        self.lease.reset()
         self.obs.tracer.clear()
         self._last_leak_profile = None
 
     def close(self) -> None:
-        """Release the lease back to the core (leased sessions only)."""
-        if self.lease is None:
-            raise SessionError("the default session cannot be closed")
+        """Release the lease back to the core (the console's raises)."""
         if not self.closed:
             self.core.close_session(self)

@@ -72,13 +72,18 @@ class SimClock:
     _totals: dict[str, float] = field(
         default_factory=lambda: {name: 0.0 for name in CATEGORIES}
     )
-    #: Optional secondary clock that receives a copy of every charge.
-    #: Session multiplexing points this at the active session's private
-    #: clock, so a leased session accumulates exactly the charge
-    #: sequence it would see running alone (starting from zero) while
-    #: the device clock keeps the global interleaved timeline.  Tees do
-    #: not chain: the teed clock's own ``tee`` is ignored here.
-    tee: "SimClock | None" = None
+    #: Per-category totals of the session plane this clock charges
+    #: as well (see :meth:`feed`).  A device clock feeds the active
+    #: session's private clock, so each session accumulates exactly the
+    #: charge sequence it would see running alone (starting from zero)
+    #: while this clock keeps the global interleaved timeline.  A bare
+    #: clock feeds a private account nobody reads.
+    _plane: dict[str, float] = field(
+        default_factory=lambda: {name: 0.0 for name in CATEGORIES},
+        init=False,
+        repr=False,
+        compare=False,
+    )
 
     def advance(self, seconds: float, category: str) -> None:
         """Charge ``seconds`` of simulated time to ``category``.
@@ -91,8 +96,12 @@ class SimClock:
         if seconds < 0:
             raise ValueError(f"negative time charge: {seconds!r}")
         self._totals[category] += seconds
-        if self.tee is not None:
-            self.tee._totals[category] += seconds
+        self._plane[category] += seconds
+
+    def feed(self, clock: "SimClock") -> None:
+        """Charge every later advance to ``clock`` too.  Feeds do not
+        chain: ``clock``'s own feed is not charged."""
+        self._plane = clock._totals
 
     @property
     def now(self) -> float:

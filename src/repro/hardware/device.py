@@ -18,7 +18,7 @@ from repro.hardware.ftl import FlashTranslationLayer
 from repro.hardware.pagecache import CacheStats, PageCache
 from repro.hardware.profiles import DEMO_DEVICE, HardwareProfile
 from repro.hardware.ram import RamBudget
-from repro.hardware.usb import UsbChannel
+from repro.hardware.usb import UsbCapture, UsbChannel
 
 
 def default_cache_pages(profile: HardwareProfile) -> int:
@@ -44,8 +44,75 @@ class DeviceCounters:
     cache: CacheStats
 
 
+class HardwareLease:
+    """One session's plane: its share of the device's volatile resources
+    and its private measurements.
+
+    A lease owns a RAM budget carved out of the secure chip's RAM, a
+    buffer pool over that budget, a simulated clock that starts at zero,
+    a USB capture and flash op counters.  Flash contents, the FTL map
+    and the secure chip are *not* leased -- they are the shared
+    database.  Every device has one full-RAM lease from the start, over
+    the root budget and pool that feed the ``ghostdb_device_*`` metrics.
+    """
+
+    def __init__(
+        self,
+        profile: HardwareProfile,
+        ram_bytes: int,
+        cache_pages: int | None = None,
+        flight=None,
+        metrics=None,
+    ):
+        self.capacity = ram_bytes
+        #: Private simulated-time account, fed by the device clock while
+        #: this lease is active.  Starts at zero like a single-session
+        #: device's clock, so per-query time diffs are bit-identical to
+        #: a serial run.
+        self.clock = SimClock()
+        self.ram = RamBudget(capacity=ram_bytes, metrics=metrics, flight=flight)
+        self.flash_stats = FlashStats()
+        if cache_pages is None:
+            # Same shape as the device default: a quarter of (partition)
+            # RAM, so a full-RAM lease behaves exactly like the device's
+            # own.
+            cache_pages = ram_bytes // (4 * profile.page_size)
+        self.cache = PageCache(
+            budget=self.ram,
+            page_size=profile.page_size,
+            capacity_pages=cache_pages,
+            metrics=metrics,
+        )
+        self.cache.flight = flight
+        self.usb = UsbCapture()
+
+    @property
+    def firm_ram_used(self) -> int:
+        """Non-reclaimable bytes currently reserved -- the number that
+        must be zero once a session has no query in flight."""
+        return self.ram.used - self.ram.reclaimable_used
+
+    def reset(self) -> None:
+        """Zero this plane's measurements; the pool starts cold."""
+        self.clock.reset()
+        self.usb.clear()
+        self.flash_stats.clear()
+        self.ram.reset_high_water()
+        # Cached pages from earlier activity would otherwise bleed one
+        # scenario's reuse into the next.
+        self.cache.clear()
+        self.cache.stats = CacheStats()
+
+
 class SmartUsbDevice:
-    """A simulated tamper-resistant smart USB device."""
+    """A simulated tamper-resistant smart USB device.
+
+    Exactly one :class:`HardwareLease` is *active* at a time: RAM
+    allocations, the buffer pool, flash op counters and the USB capture
+    are the active plane's, and every clock charge lands in its private
+    clock as well as in the device clock (the global timeline).  The
+    device starts on its own full-RAM plane.
+    """
 
     def __init__(
         self,
@@ -61,24 +128,17 @@ class SmartUsbDevice:
         #: journaling never touches the clock, the budget or the wire.
         self.flight = flight
         self.clock = SimClock()
-        self.ram = RamBudget(
-            capacity=profile.ram_bytes, metrics=metrics, flight=flight
-        )
         self.flash = NandFlash(
             profile=profile, clock=self.clock, metrics=metrics
         )
-        if cache_pages is None:
-            cache_pages = default_cache_pages(profile)
-        self.page_cache = PageCache(
-            budget=self.ram,
-            page_size=profile.page_size,
-            capacity_pages=cache_pages,
+        self.plane = HardwareLease(
+            profile,
+            profile.ram_bytes,
+            cache_pages=cache_pages,
+            flight=flight,
             metrics=metrics,
         )
-        self.page_cache.flight = flight
-        self.ftl = FlashTranslationLayer(
-            flash=self.flash, cache=self.page_cache, flight=flight
-        )
+        self.ftl = FlashTranslationLayer(flash=self.flash, flight=flight)
         self.chip = SecureChip(
             profile=profile, clock=self.clock, metrics=metrics
         )
@@ -86,6 +146,23 @@ class SmartUsbDevice:
             profile=profile, clock=self.clock, metrics=metrics
         )
         self.faults = None
+        self.activate(self.plane)
+
+    def activate(self, plane: HardwareLease) -> None:
+        """Make ``plane`` the one every later operation uses."""
+        self.plane = plane
+        self.clock.feed(plane.clock)
+        self.flash.stats = plane.flash_stats
+        self.ftl.cache = plane.cache
+        self.usb.capture = plane.usb
+
+    @property
+    def ram(self) -> RamBudget:
+        return self.plane.ram
+
+    @property
+    def page_cache(self) -> PageCache:
+        return self.plane.cache
 
     def attach_faults(self, injector) -> None:
         """Wire a :class:`~repro.faults.FaultInjector` into every
@@ -110,10 +187,11 @@ class SmartUsbDevice:
         (:meth:`~repro.hardware.ftl.FlashTranslationLayer.recover`),
         which rolls back torn writes to the last committed state.
         """
-        self.ram = RamBudget(
-            capacity=self.profile.ram_bytes,
-            metrics=self.metrics,
-            flight=self.flight,
+        plane = self.plane
+        plane.ram = RamBudget(
+            capacity=plane.capacity,
+            metrics=plane.ram.metrics,
+            flight=plane.ram.flight,
         )
         self.ftl = FlashTranslationLayer.recover(
             self.flash,
@@ -122,8 +200,8 @@ class SmartUsbDevice:
         )
         # Cached pages were volatile RAM: gone with the power.  Re-home
         # the pool on the fresh budget and hand it to the new FTL.
-        self.page_cache.rewire(self.ram)
-        self.ftl.cache = self.page_cache
+        plane.cache.rewire(plane.ram)
+        self.ftl.cache = plane.cache
         if self.metrics is not None:
             self.metrics.counter("ghostdb_recovery_remounts_total").inc()
         if self.flight is not None:
@@ -132,33 +210,31 @@ class SmartUsbDevice:
             )
 
     def counters(self) -> DeviceCounters:
-        """Snapshot every counter (cheap; used to diff around a query)."""
+        """Snapshot the active plane's counters (cheap; used to diff
+        around a query)."""
+        plane = self.plane
         return DeviceCounters(
-            time=self.clock.breakdown(),
-            flash=self.flash.stats.snapshot(),
-            ram_high_water=self.ram.high_water,
-            usb_messages=self.usb.message_count,
-            usb_bytes_to_device=self.usb.bytes_to_device,
-            usb_bytes_to_host=self.usb.bytes_to_host,
-            cache=self.page_cache.stats.snapshot(),
+            time=plane.clock.breakdown(),
+            flash=plane.flash_stats.snapshot(),
+            ram_high_water=plane.ram.high_water,
+            usb_messages=len(plane.usb.log),
+            usb_bytes_to_device=plane.usb.bytes_to_device,
+            usb_bytes_to_host=plane.usb.bytes_to_host,
+            cache=plane.cache.stats.snapshot(),
         )
 
     def reset_measurements(self) -> None:
-        """Zero the clock, traffic log and high-water mark.
+        """Zero the timeline (clock, traffic log, chip counters) and the
+        active plane's measurements together.
 
         Storage contents and FTL state are preserved: this separates the
         (expensive, simulated) database load from the measured query, like
         unplugging and re-plugging the key.
         """
         self.clock.reset()
-        self.usb.clear_log()
-        self.ram.reset_high_water()
-        self.flash.stats = FlashStats()
+        self.usb.log.clear()
         self.chip.stats.cycles_by_op.clear()
-        # A measurement starts cold: cached pages from earlier activity
-        # would otherwise bleed one scenario's reuse into the next.
-        self.page_cache.clear()
-        self.page_cache.stats = CacheStats()
+        self.plane.reset()
 
     def __repr__(self) -> str:
         return (

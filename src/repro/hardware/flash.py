@@ -85,6 +85,10 @@ class FlashStats:
     def page_reads(self) -> int:
         return self.page_reads_full + self.page_reads_partial
 
+    def clear(self) -> None:
+        self.page_reads_full = self.page_reads_partial = 0
+        self.page_writes = self.block_erases = 0
+
     def snapshot(self) -> "FlashStats":
         return FlashStats(
             page_reads_full=self.page_reads_full,

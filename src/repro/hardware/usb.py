@@ -68,23 +68,35 @@ class TrafficRecord:
 
 
 @dataclass
+class UsbCapture:
+    """One session plane's share of the link: the records it exchanged
+    and its byte totals in each direction."""
+
+    log: list[TrafficRecord] = field(default_factory=list)
+    bytes_to_device: int = 0
+    bytes_to_host: int = 0
+
+    def clear(self) -> None:
+        self.log.clear()
+        self.bytes_to_device = 0
+        self.bytes_to_host = 0
+
+
+@dataclass
 class UsbChannel:
     """A half-duplex message channel with timing and full capture."""
 
     profile: HardwareProfile
     clock: SimClock
+    #: Every record in transfer order: what a bus spy sees, the full
+    #: interleaved stream of all sessions.
     log: list[TrafficRecord] = field(default_factory=list)
-    bytes_to_device: int = 0
-    bytes_to_host: int = 0
+    #: The active session plane's capture; each record lands here too.
+    capture: UsbCapture = field(default_factory=UsbCapture, init=False)
     #: Optional deterministic fault injector (see :mod:`repro.faults`).
     faults: FaultInjector | None = None
     #: Optional device-lifetime metrics sink (monotonic; includes load).
     metrics: MetricsRegistry | None = None
-    #: Optional second log that every record is appended to as well.
-    #: Session multiplexing swaps ``log`` to the active session's
-    #: private capture and mirrors into the device-lifetime log, which
-    #: is what a bus spy sees: the full interleaved traffic stream.
-    mirror: list[TrafficRecord] | None = None
 
     def transfer(
         self,
@@ -108,10 +120,11 @@ class UsbChannel:
             len(payload) * 8 / self.profile.usb_bits_per_s
         )
         self.clock.advance(seconds, "usb")
+        capture = self.capture
         if direction is Direction.TO_DEVICE:
-            self.bytes_to_device += len(payload)
+            capture.bytes_to_device += len(payload)
         else:
-            self.bytes_to_host += len(payload)
+            capture.bytes_to_host += len(payload)
         if self.metrics is not None:
             label = (
                 "to_device" if direction is Direction.TO_DEVICE else "to_host"
@@ -141,7 +154,7 @@ class UsbChannel:
             elif decision.kind == "stall":
                 # The bus hiccupped; the message arrives intact but late.
                 self.clock.advance(decision.seconds, "usb")
-        seq = len(self.log)
+        seq = len(capture.log)
         record = TrafficRecord(
             seq=seq,
             direction=direction,
@@ -152,8 +165,7 @@ class UsbChannel:
             faults=fault_tags,
         )
         self.log.append(record)
-        if self.mirror is not None:
-            self.mirror.append(record)
+        capture.log.append(record)
         if decision is not None:
             if decision.kind == "drop":
                 raise UsbDroppedError(
@@ -167,7 +179,16 @@ class UsbChannel:
 
     @property
     def message_count(self) -> int:
-        return len(self.log)
+        """Messages the active session plane exchanged."""
+        return len(self.capture.log)
+
+    @property
+    def bytes_to_device(self) -> int:
+        return self.capture.bytes_to_device
+
+    @property
+    def bytes_to_host(self) -> int:
+        return self.capture.bytes_to_host
 
     def records(self, direction: Direction | None = None) -> list[TrafficRecord]:
         """All captured traffic, optionally filtered by direction."""
@@ -178,5 +199,4 @@ class UsbChannel:
     def clear_log(self) -> None:
         """Forget captured traffic (between benchmark repetitions)."""
         self.log.clear()
-        self.bytes_to_device = 0
-        self.bytes_to_host = 0
+        self.capture.clear()

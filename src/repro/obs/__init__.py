@@ -85,7 +85,6 @@ class Observability:
         clock=None,
         enabled: bool = True,
         flight_capacity: int | None = None,
-        flight_enabled: bool = True,
         registry: MetricsRegistry | None = None,
         flight: FlightRecorder | None = None,
         redactor: Redactor | None = None,
@@ -104,7 +103,7 @@ class Observability:
             clock=clock, redactor=self.redactor, enabled=enabled
         )
         self.registry = registry if registry is not None else MetricsRegistry()
-        # The black box: always-on unless explicitly disabled, host-side
+        # The black box: on unless ``flight.enabled`` is cleared, host-side
         # memory, shared clock with the tracer (the session re-points
         # both at the device clock once the device exists).
         if flight is not None:
@@ -117,7 +116,6 @@ class Observability:
                     else DEFAULT_CAPACITY
                 ),
                 clock=clock,
-                enabled=flight_enabled,
             )
         self.ledger = ResourceLedger()
         self._register_session_metrics()

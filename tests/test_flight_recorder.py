@@ -29,8 +29,9 @@ from repro.workload.queries import DEMO_SCHEMA_DDL, demo_query
 from tests.conftest import build_demo_session
 
 
-def build_session(data, **config_kwargs) -> GhostDB:
+def build_session(data, flight_enabled: bool = True, **config_kwargs) -> GhostDB:
     db = GhostDB(config=SessionConfig(**config_kwargs))
+    db.obs.flight.enabled = flight_enabled
     for ddl in DEMO_SCHEMA_DDL:
         db.execute(ddl)
     db.load(data)

@@ -9,6 +9,8 @@ split across a uniform load.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.ghostdb import GhostDB, SessionConfig, SessionError
@@ -36,13 +38,6 @@ def test_jain_index_even_and_one_hot():
 # ---------------------------------------------------------------------------
 # Submission discipline.
 # ---------------------------------------------------------------------------
-
-
-def test_submit_refuses_the_default_session():
-    db = build_db()
-    sched = Scheduler(db.core)
-    with pytest.raises(SessionError):
-        sched.submit(db.session, STATEMENTS[0])
 
 
 def test_submit_refuses_sessions_from_another_device():
@@ -130,6 +125,29 @@ def test_uniform_load_is_scheduled_fairly():
     # Each query was preempted many times, so this was interleaving,
     # not accidental serial execution.
     assert min(t.steps for t in tickets) > 10
+
+
+def test_console_is_an_ordinary_scheduler_client():
+    reference = build_db()
+    expected = [reference.query(sql) for sql in STATEMENTS]
+
+    db = build_db()
+    sched = Scheduler(db.core)
+    tickets = []
+    for sql in STATEMENTS:
+        # One statement in flight at a time, like one client connection.
+        tickets.append(sched.submit(db.session, sql))
+        sched.run()
+    for ticket, ref in zip(tickets, expected):
+        assert ticket.error is None
+        assert ticket.result.rows == ref.rows
+        # Every counter and the per-category time breakdown; operator
+        # stats carry host wall times and are left out.
+        assert replace(ticket.result.metrics, operators=[]) == replace(
+            ref.metrics, operators=[]
+        )
+    # Between steps the device is back on the console's plane.
+    assert db.device.plane is db.core.console
 
 
 def test_dml_is_one_atomic_step():

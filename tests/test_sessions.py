@@ -18,6 +18,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core.ghostdb import AdmissionError, GhostDB, SessionConfig, SessionError
 from repro.core.scheduler import Scheduler
 from repro.engine.executor import ExecConfig
+from repro.faults import PowerCutError
+from repro.optimizer.space import enumerate_strategies
 from repro.privacy.meter import profile_records
 from repro.workload.datagen import DatasetConfig, MedicalDataGenerator
 from repro.workload.queries import (
@@ -144,13 +146,22 @@ def test_interleaved_sessions_bit_identical_to_serial(n, batch):
         )
     for name in names:
         serial_db.close_session(serial_db.core.sessions[name])
+    # The console is one more client; its serial reference is the
+    # facade on a fresh instance.
+    console_db = build_db(config)
+    runs = [console_db.query(sql) for sql in STATEMENTS]
+    serial["console"] = (
+        [(r.rows, metric_values(r.metrics)) for r in runs],
+        session_fingerprint(console_db.session),
+    )
 
     # Interleaved run: same sessions, all statements in flight at once.
-    db = build_db()
+    db = build_db(config)
     sessions = {
         name: db.open_session(name, ram_bytes=partition, config=config)
         for name in names
     }
+    clients = {**sessions, "console": db.session}
     # One wave per statement index: every session has exactly one
     # statement in flight, so the interleaving is *across* sessions
     # while each session's own statement order is preserved (a session
@@ -159,25 +170,25 @@ def test_interleaved_sessions_bit_identical_to_serial(n, batch):
     sched = Scheduler(db.core)
     tickets = []
     for sql in STATEMENTS:
-        tickets.extend(sched.submit(sessions[name], sql) for name in names)
+        tickets.extend(sched.submit(ctx, sql) for ctx in clients.values())
         sched.run()
 
-    per_session: dict[str, list] = {name: [] for name in names}
+    per_session: dict[str, list] = {ctx.name: [] for ctx in clients.values()}
     for ticket in tickets:
         assert ticket.error is None
         per_session[ticket.session].append(ticket.result)
-    for name in names:
+    for name, ctx in clients.items():
         ref_runs, ref_fingerprint = serial[name]
         got = [
-            (r.rows, metric_values(r.metrics)) for r in per_session[name]
+            (r.rows, metric_values(r.metrics)) for r in per_session[ctx.name]
         ]
         assert got == ref_runs, f"{name} diverged under interleaving"
-        assert session_fingerprint(sessions[name]) == ref_fingerprint
+        assert session_fingerprint(ctx) == ref_fingerprint
 
     # The spy's interleaved capture is exactly the union of the
-    # per-session captures -- mirroring loses and invents nothing.
+    # per-session captures -- the device log loses and invents nothing.
     assert len(db.usb_log) == sum(
-        len(ctx.usb_log) for ctx in sessions.values()
+        len(ctx.usb_log) for ctx in clients.values()
     )
     # Partitions never collude past the secure budget.
     assert (
@@ -301,11 +312,8 @@ def test_nested_foreign_activation_is_a_scheduling_bug():
         with pytest.raises(SessionError):
             with db.core.activated(b.lease):
                 pass  # pragma: no cover
-        # Re-entry with the active lease and the default session are
-        # both no-ops.
+        # Re-entry with the active lease is a no-op.
         with db.core.activated(a.lease):
-            pass
-        with db.core.activated(None):
             pass
 
 
@@ -316,3 +324,52 @@ def test_cannot_close_session_mid_step():
         with pytest.raises(SessionError):
             db.close_session(ctx)
     db.close_session(ctx)
+
+
+# ---------------------------------------------------------------------------
+# One guarded runner: every device-touching entry point is gated alike.
+# ---------------------------------------------------------------------------
+
+#: Each entry point as ``(session, sql, plan) -> result``.
+ENTRY_POINTS = {
+    "select": lambda ctx, sql, plan: ctx.execute(sql),
+    "dml": lambda ctx, sql, plan: ctx.execute(
+        "UPDATE Prescription SET Quantity = 9 WHERE Quantity = 7"
+    ),
+    "query_with_strategy": lambda ctx, sql, plan: ctx.query_with_strategy(
+        sql, enumerate_strategies(ctx.bind(sql))[0]
+    ),
+    "execute_plan": lambda ctx, sql, plan: ctx.execute_plan(plan),
+    "explain_analyze": lambda ctx, sql, plan: ctx.explain_analyze(sql),
+}
+
+
+def _chosen_plan(ctx, sql: str):
+    return ctx.optimizer.optimize(ctx.bind(sql)).plan
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_power_cut_demands_remount_from_every_entry_point(entry):
+    db = build_db()
+    sql = STATEMENTS[0]
+    plan = _chosen_plan(db.session, sql)
+    db.set_faults("none").schedule_power_cut(at_flash_op=3)
+    with pytest.raises(PowerCutError):
+        ENTRY_POINTS[entry](db.session, sql, plan)
+    assert db.needs_remount
+    aborted = db.obs.registry.counter("ghostdb_recovery_aborted_queries_total")
+    assert aborted.value(reason="PowerCutError") == 1
+    # The un-remounted device refuses the next statement.
+    with pytest.raises(SessionError):
+        db.query(sql)
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_closed_session_refuses_every_entry_point(entry):
+    db = build_db()
+    sql = STATEMENTS[0]
+    ctx = db.open_session("gone")
+    plan = _chosen_plan(ctx, sql)
+    db.close_session(ctx)
+    with pytest.raises(SessionError):
+        ENTRY_POINTS[entry](ctx, sql, plan)
