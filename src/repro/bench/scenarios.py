@@ -349,6 +349,42 @@ def _dml_update_roundtrip(session):
             "roundtrip update matched nothing; the scenario measured "
             "a no-op"
         )
+    if result.rebuilt != ["heap:prescription", "cidx:prescription.quantity"]:
+        raise RuntimeError(
+            f"a Quantity update rebuilt {result.rebuilt}; it should "
+            f"rewrite only the heap and the Quantity climbing index"
+        )
+    return result
+
+
+def _dml_update_visible(session):
+    """Measure a visible-only UPDATE, then revert it.
+
+    Frequency lives on the public side only, so the statement changes
+    nothing the device stores: it must re-synchronise the visible site
+    without a device transaction -- zero flash writes, no rebuild.  The
+    sentinel never occurs in the dataset, so the revert is exact."""
+    mark = len(session.device.usb.log)
+    result = session.execute(
+        "UPDATE Prescription SET Frequency = 'hourly' "
+        "WHERE Frequency = 'weekly'"
+    )
+    revert = session.execute(
+        "UPDATE Prescription SET Frequency = 'weekly' "
+        "WHERE Frequency = 'hourly'"
+    )
+    _assert_dml_silent(session, mark, "update")
+    if result.changed == 0 or revert.changed != result.changed:
+        raise RuntimeError(
+            f"visible roundtrip changed {result.changed} rows and "
+            f"reverted {revert.changed}"
+        )
+    for statement in (result, revert):
+        if statement.rebuilt or statement.metrics.flash_page_writes:
+            raise RuntimeError(
+                "a visible-only update wrote flash -- it must not run "
+                "a device transaction"
+            )
     return result
 
 
@@ -621,6 +657,7 @@ SCENARIOS: tuple[Scenario, ...] = (
     Scenario("dml-update-roundtrip", "dml", _dml_update_roundtrip),
     Scenario("dml-delete-appended", "dml", _dml_delete_appended),
     Scenario("dml-noop-update", "dml", _dml_noop_update),
+    Scenario("dml-update-visible", "dml", _dml_update_visible),
     Scenario(
         "endurance-update-churn", "endurance", _endurance_update_churn
     ),

@@ -128,10 +128,19 @@ class TableStats:
 class StatisticsCollector:
     """Single-pass stats builder: feed rows, then :meth:`finish`."""
 
-    def __init__(self, table: str, column_names: list[str], dtypes: list[DataType]):
+    def __init__(
+        self,
+        table: str,
+        column_names: list[str],
+        dtypes: list[DataType],
+        fields: list[int] | None = None,
+    ):
+        """``fields`` picks the positions of each added row to summarise,
+        one per name (default: every position, in order)."""
         self.table = table
         self.names = [n.lower() for n in column_names]
         self.dtypes = dtypes
+        self._fields = fields
         self._counts: list[dict] = [{} for _ in column_names]
         self._minmax: list[tuple | None] = [None] * len(column_names)
         self._row_count = 0
@@ -139,6 +148,8 @@ class StatisticsCollector:
 
     def add(self, row) -> None:
         self._row_count += 1
+        if self._fields is not None:
+            row = [row[f] for f in self._fields]
         for i, value in enumerate(row):
             mm = self._minmax[i]
             if mm is None:
@@ -161,8 +172,22 @@ class StatisticsCollector:
                 # down to min/max + a reservoir for the histogram.
                 self._overflowed[i] = True
 
-    def finish(self) -> TableStats:
+    def finish(self, carry: TableStats | None = None) -> TableStats:
+        """The collected stats, plus every column of ``carry`` this
+        collector did not summarise.
+
+        ``carry`` is the previous stats of the same rows, whose other
+        columns kept their values -- so their stats are carried over
+        rather than recomputed, and come out identical.
+        """
         stats = TableStats(table=self.table, row_count=self._row_count)
+        if carry is not None:
+            if carry.row_count != self._row_count:
+                raise ValueError(
+                    f"{self.table}: cannot carry stats over "
+                    f"{carry.row_count} rows into {self._row_count}"
+                )
+            stats.columns.update(carry.columns)
         for i, name in enumerate(self.names):
             counts = self._counts[i]
             mm = self._minmax[i]

@@ -9,6 +9,11 @@ discipline, and only after the flash-free commit is the visible site
 re-synchronised.  A power cut at any flash operation therefore leaves
 the statement either fully applied or not at all -- never a torn mix.
 
+An UPDATE tells the rebuild which device columns it changed, so only the
+heap and the structures depending on them are rewritten; one that
+changes only visible columns runs no device transaction at all.  DELETE
+changes the row set and rebuilds every structure over the table.
+
 DELETE enforces RESTRICT semantics: deleting rows still referenced by a
 child table's foreign keys is refused (the schema tree's edges stay
 consistent), checked with device-charged scans of the child heaps.
@@ -31,13 +36,15 @@ class DmlError(ValueError):
 
 def run_update(
     db: HiddenDatabase, site: VisibleSite, bound: BoundUpdate
-) -> tuple[int, int]:
-    """Apply a bound UPDATE; returns ``(matched, changed)``.
+) -> tuple[int, int, list[str]]:
+    """Apply a bound UPDATE; returns ``(matched, changed, rebuilt)``.
 
     ``matched`` counts rows satisfying the WHERE clause; ``changed``
-    counts those whose stored values actually differ afterwards.  A
-    statement that matches nothing -- or assigns values already in
-    place -- is a no-op: no rebuild, no flash writes.
+    counts those whose stored values actually differ afterwards;
+    ``rebuilt`` labels the device structures rewritten.  A statement
+    that matches nothing -- or assigns values already in place -- is a
+    no-op: no rebuild, no flash writes.  So is, on the device side, one
+    that changes visible columns only.
     """
     table_def = bound.table_def
     table = bound.table
@@ -49,10 +56,16 @@ def run_update(
         (col_pos[a.column.name.lower()], a.column, a.value)
         for a in bound.assignments
     ]
+    device_assigned = [
+        (i, column.name.lower())
+        for i, column, _value in assign_idx
+        if column.on_device
+    ]
     chip = db.device.chip
     matched = changed = 0
     out_rows: list[tuple] = []
     touched: dict[int, tuple] = {}
+    changed_cols: set[str] = set()
     for row in rows:
         if pred_idx:
             chip.charge("compare", len(pred_idx))
@@ -65,30 +78,41 @@ def run_update(
             if new_row != row:
                 changed += 1
                 touched[new_row[pk_index]] = new_row
+                changed_cols.update(
+                    name for i, name in device_assigned if new_row[i] != row[i]
+                )
             out_rows.append(new_row)
         else:
             out_rows.append(row)
     if not touched:
         log.info("update on %s: %d matched, nothing changed", table, matched)
-        return matched, 0
+        return matched, 0, []
 
-    device_idx = [
-        table_def.column_index(c.name) for c in table_def.device_columns()
-    ]
-    rebuild_table(
-        db, table, (tuple(r[i] for i in device_idx) for r in out_rows)
-    )
+    rebuilt: list[str] = []
+    if changed_cols:
+        device_idx = [
+            table_def.column_index(c.name) for c in table_def.device_columns()
+        ]
+        rebuilt = rebuild_table(
+            db,
+            table,
+            (tuple(r[i] for i in device_idx) for r in out_rows),
+            frozenset(changed_cols),
+        )
     # Only after the flash-free commit: a power cut during the rebuild
     # must leave the public side in step with the (old) device state.
     site.update_rows(table, touched)
-    log.info("update on %s: %d matched, %d changed", table, matched, changed)
-    return matched, changed
+    log.info(
+        "update on %s: %d matched, %d changed, %d structures rebuilt",
+        table, matched, changed, len(rebuilt),
+    )
+    return matched, changed, rebuilt
 
 
 def run_delete(
     db: HiddenDatabase, site: VisibleSite, bound: BoundDelete
-) -> tuple[int, int]:
-    """Apply a bound DELETE; returns ``(matched, matched)``."""
+) -> tuple[int, int, list[str]]:
+    """Apply a bound DELETE; returns ``(matched, matched, rebuilt)``."""
     table_def = bound.table_def
     table = bound.table
     rows = _full_rows(db, site, table_def)
@@ -107,19 +131,19 @@ def run_delete(
             kept.append(row)
     if not deleted:
         log.info("delete on %s: nothing matched", table)
-        return 0, 0
+        return 0, 0, []
 
     _check_restrict(db, table_def, deleted)
 
     device_idx = [
         table_def.column_index(c.name) for c in table_def.device_columns()
     ]
-    rebuild_table(
+    rebuilt = rebuild_table(
         db, table, (tuple(r[i] for i in device_idx) for r in kept)
     )
     site.delete_rows(table, sorted(deleted))
     log.info("delete on %s: %d rows removed", table, len(deleted))
-    return len(deleted), len(deleted)
+    return len(deleted), len(deleted), rebuilt
 
 
 def _full_rows(

@@ -78,6 +78,9 @@ class DmlResult:
     kind: str  # "update" | "delete"
     matched: int
     changed: int
+    #: labels of the device structures the statement rewrote, heap
+    #: first (empty for a no-op or a visible-only UPDATE).
+    rebuilt: list[str]
     metrics: ExecutionMetrics
     plan: lp.PlanNode
 
@@ -258,14 +261,8 @@ class Executor:
             span.set("kind", kind)
             span.set("table", root.bound.table)
             try:
-                if kind == "update":
-                    matched, changed = dml.run_update(
-                        self.db, site, root.bound
-                    )
-                else:
-                    matched, changed = dml.run_delete(
-                        self.db, site, root.bound
-                    )
+                run = dml.run_update if kind == "update" else dml.run_delete
+                matched, changed, rebuilt = run(self.db, site, root.bound)
             except GhostDBFaultError as exc:
                 span.set("aborted", type(exc).__name__)
                 after = self.device.counters()
@@ -290,6 +287,7 @@ class Executor:
             metrics = ExecutionMetrics.from_counters(before, after, [], matched)
             span.set("matched", matched)
             span.set("changed", changed)
+            span.set("structures_rebuilt", len(rebuilt))
             span.set("flash_page_reads", metrics.flash_page_reads)
             span.set("flash_page_writes", metrics.flash_page_writes)
             span.set("flash_block_erases", metrics.flash_block_erases)
@@ -301,6 +299,7 @@ class Executor:
             fingerprint=fingerprint,
             matched=matched,
             changed=changed,
+            structures_rebuilt=len(rebuilt),
         )
         self.obs.record_query_metrics(
             metrics, fingerprint, time.perf_counter() - wall_start
@@ -315,6 +314,7 @@ class Executor:
             kind=kind,
             matched=matched,
             changed=changed,
+            rebuilt=rebuilt,
             metrics=metrics,
             plan=root,
         )

@@ -8,9 +8,16 @@ model we have: NAND flash forbids in-place writes, so a mutation
 *rebuilds* each affected structure.  All of that cost is charged to the
 device, making maintenance measurable (the T6 extension bench).
 
-Rebuild scope is minimal per table: its heap, every SKT whose subtree
-contains it, and every climbing/key index with the table among its
-levels.
+Rebuild scope follows what changed.  Each structure depends on a set of
+``(table, column)`` pairs derived from the catalog: an SKT on the key
+columns (PKs, and the FKs linking them) of its subtree; a climbing index
+``(t, c)`` on ``t.c`` plus the key columns along its level path to the
+root (a key index is the climbing index on ``t``'s PK).  A statement
+that changes the row set (append, DELETE) rebuilds the heap and every
+structure with the table among its tables.  One that only changes
+values of some device columns (UPDATE, which may not assign keys)
+rebuilds the heap and the structures depending on those columns -- for
+a hidden non-key column, its own climbing index and nothing else.
 
 Crash atomicity (:func:`rebuild_table`) follows a strict build-all-then-
 swap discipline.  Every flash write happens while the catalog still
@@ -96,7 +103,11 @@ def append_rows(
                 c.dtype.validate(v) for c, v in zip(device_cols, row)
             )
 
-    rebuilt_skts, rebuilt_indexes = rebuild_table(db, table, merged_rows())
+    rebuilt = rebuild_table(db, table, merged_rows())
+    rebuilt_skts = [label for label in rebuilt if label.startswith("SKT_")]
+    rebuilt_indexes = [
+        label for label in rebuilt if label.startswith(("cidx:", "kidx:"))
+    ]
 
     log.info(
         "appended %d rows to %s (rebuilt %d SKTs, %d indexes)",
@@ -111,29 +122,53 @@ def append_rows(
 
 
 def rebuild_table(
-    db: HiddenDatabase, table: str, device_rows
-) -> tuple[list[str], list[str]]:
+    db: HiddenDatabase,
+    table: str,
+    device_rows,
+    changed: frozenset[str] | None = None,
+) -> list[str]:
     """Atomically replace ``table``'s device extents with ``device_rows``.
 
     ``device_rows`` is an iterable of *device* rows (device-column
-    order, primary key first, sorted ascending).  The heap, every SKT
-    containing the table and every climbing/key index over it are built
-    into fresh extents first -- the catalog untouched, the old pages
-    still live -- and only then swapped in during a flash-free commit.
+    order, primary key first, sorted ascending).  ``changed`` names the
+    device columns whose values differ from the stored rows; ``None``
+    means the row set itself changed.  The heap and every structure
+    that depends on a changed column (see the module docstring) are
+    built into fresh extents first -- the catalog untouched, the old
+    pages still live -- and only then swapped in during a flash-free
+    commit.  Structures outside that set keep their objects and pages.
     On any build failure the freshly written pages are freed and the
     exception re-raised: the old state stays fully intact.
 
-    Returns ``(rebuilt_skts, rebuilt_indexes)`` labels for reporting.
+    Statistics are recomputed for the changed columns only; the others
+    are carried over.
+
+    Returns the labels of the rebuilt structures, heap first.
     """
-    table_def = db.tree.table(table)
+    tree = db.tree
+    table_def = tree.table(table)
     device_cols = table_def.device_columns()
     device = db.device
     ftl = device.ftl
+    fields = [
+        i
+        for i, c in enumerate(device_cols)
+        if changed is None or c.name.lower() in changed
+    ]
     collector = StatisticsCollector(
         table=table,
-        column_names=[c.name for c in device_cols],
-        dtypes=[c.dtype for c in device_cols],
+        column_names=[device_cols[i].name for i in fields],
+        dtypes=[device_cols[i].dtype for i in fields],
+        fields=None if changed is None else fields,
     )
+
+    def stale(deps: set[tuple[str, str]]) -> bool:
+        if changed is None:
+            return any(t == table for t, _column in deps)
+        return any((table, column) in deps for column in changed)
+
+    def index_deps(index: ClimbingIndex) -> set[tuple[str, str]]:
+        return {(index.table, index.column)} | _key_columns(tree, index.levels)
 
     def collected():
         for row in device_rows:
@@ -152,24 +187,24 @@ def rebuild_table(
 
         new_skts = {}
         for root, skt in db.skts.items():
-            if table in skt.tables:
+            if stale(_key_columns(tree, skt.tables)):
                 new_skts[root] = SubtreeKeyTable.build(
-                    device, db.tree, root, heaps_view
+                    device, tree, root, heaps_view
                 )
 
         edge_cache: dict = {}
         new_climbing = {}
         for key, index in db.climbing.items():
-            if table in index.levels:
+            if stale(index_deps(index)):
                 new_climbing[key] = ClimbingIndex.build(
-                    device, db.tree, heaps_view, key[0], key[1], edge_cache
+                    device, tree, heaps_view, key[0], key[1], edge_cache
                 )
         new_key_indexes = {}
         for name, index in db.key_indexes.items():
-            if table in index.levels:
+            if stale(index_deps(index)):
                 new_key_indexes[name] = ClimbingIndex.build(
-                    device, db.tree, heaps_view, name,
-                    db.tree.table(name).pk.name, edge_cache,
+                    device, tree, heaps_view, name,
+                    tree.table(name).pk.name, edge_cache,
                 )
     except BaseException:
         # Abort: free exactly the pages this build orphaned.  free() is
@@ -185,22 +220,38 @@ def rebuild_table(
     # fault decision can interleave; the statement is atomic.
     _free_heap(db, db.heaps[table])
     db.heaps[table] = new_heap
-    db.stats[table] = collector.finish()
-    rebuilt_skts = []
+    db.stats[table] = collector.finish(
+        None if changed is None else db.stats[table]
+    )
+    rebuilt = [f"heap:{table}"]
     for root, skt in new_skts.items():
         _free_pages(db, db.skts[root].pages)
         db.skts[root] = skt
-        rebuilt_skts.append(f"SKT_{root}")
-    rebuilt_indexes = []
+        rebuilt.append(f"SKT_{root}")
     for key, index in new_climbing.items():
         _free_index(db, db.climbing[key])
         db.climbing[key] = index
-        rebuilt_indexes.append(f"cidx:{key[0]}.{key[1]}")
+        rebuilt.append(f"cidx:{key[0]}.{key[1]}")
     for name, index in new_key_indexes.items():
         _free_index(db, db.key_indexes[name])
         db.key_indexes[name] = index
-        rebuilt_indexes.append(f"kidx:{name}")
-    return rebuilt_skts, rebuilt_indexes
+        rebuilt.append(f"kidx:{name}")
+    return rebuilt
+
+
+def _key_columns(tree, tables: list[str]) -> set[tuple[str, str]]:
+    """``(table, column)`` of the PKs of ``tables`` and the FKs linking
+    them to each other -- the key material a structure over them reads."""
+    members = set(tables)
+    keys = set()
+    for name in tables:
+        keys.add((name, tree.table(name).pk.name.lower()))
+        keys.update(
+            (name, fk.lower())
+            for fk, child in tree.children_of(name)
+            if child in members
+        )
+    return keys
 
 
 def _free_pages(db: HiddenDatabase, pages: list[int]) -> None:

@@ -59,6 +59,9 @@ ENGINE_VOCAB = frozenset(
         "block", "messages", "sql", "pulled", "error", "detail",
         "finished", "strategy", "probed", "passed", "inputs", "dropped",
         "via",
+        # DML statements (span, flight-event and attribute names)
+        "dml", "update", "delete", "statement", "table", "matched",
+        "changed", "structures", "rebuilt",
         # leakage metering (shape-derived names, never data values)
         "leak", "leakage", "observable", "shape", "shapes", "entropy",
         "signature", "signatures", "gap", "gaps", "mean", "duration",

@@ -183,11 +183,18 @@ class TestDmlPowerCutSweep:
             )
 
 
+def mid_statement_op(data) -> int:
+    """A flash-op index inside ``STATEMENTS[0]``: the midpoint of its
+    clean run, so the cut lands mid-statement whatever it costs."""
+    return statement_boundaries(data)[0] // 2
+
+
 class TestDmlFaultSession:
     def test_queries_blocked_until_remount(self, tiny_data):
+        cut_at = mid_statement_op(tiny_data)
         db = build_session(tiny_data)
         injector = db.set_faults("none", seed=0)
-        injector.schedule_power_cut(at_flash_op=10)
+        injector.schedule_power_cut(at_flash_op=cut_at)
         with pytest.raises(PowerCutError):
             db.execute(STATEMENTS[0])
         from repro.core.ghostdb import SessionError
@@ -201,9 +208,10 @@ class TestDmlFaultSession:
         db.execute(STATEMENTS[0])  # works again
 
     def test_aborted_dml_counted(self, tiny_data):
+        cut_at = mid_statement_op(tiny_data)
         db = build_session(tiny_data)
         injector = db.set_faults("none", seed=0)
-        injector.schedule_power_cut(at_flash_op=10)
+        injector.schedule_power_cut(at_flash_op=cut_at)
         with pytest.raises(PowerCutError):
             db.execute(STATEMENTS[0])
         aborted = db.obs.registry.counter(
