@@ -112,21 +112,31 @@ class IdColumn:
         return data.tobytes()
 
 
-def chunk_ids(iterator, cap: int):
-    """Re-chunk a per-item ID iterator into :class:`IdColumn` payloads
-    of at most ``cap`` items, closing the iterator on teardown.
+def chunks(iterator, cap: int):
+    """Re-chunk a per-item iterator into lists of at most ``cap`` items,
+    closing the iterator on teardown.
 
     The iterator is advanced in exactly the same ``islice`` pattern the
     default batch protocol uses, so the hardware-op order is identical
-    to shipping plain lists.
+    to pulling the items one window at a time.
     """
     try:
         while True:
             block = list(islice(iterator, cap))
             if not block:
                 return
-            yield IdColumn.from_ids(block)
+            yield block
     finally:
         close = getattr(iterator, "close", None)
         if close is not None:
             close()
+
+
+def chunk_ids(iterator, cap: int):
+    """:func:`chunks` as :class:`IdColumn` payloads."""
+    blocks = chunks(iterator, cap)
+    try:
+        for block in blocks:
+            yield IdColumn.from_ids(block)
+    finally:
+        blocks.close()

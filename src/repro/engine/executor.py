@@ -49,10 +49,14 @@ class ExecConfig:
     max_fan_in: int = 16
     bloom_fp_target: float = 0.01
     fetch_batch: int = 128
-    #: Items per attribution-marked operator batch window.  Purely a
-    #: host-side setting: any value must produce bit-identical rows and
-    #: simulated hardware counters, larger values just cross the
-    #: enter/exit accounting boundary less often.
+    #: Items per attribution-marked operator batch window.  Larger
+    #: values cross the enter/exit accounting boundary, and charge the
+    #: per-window CPU primitives, less often.  Any value must produce
+    #: the same rows and USB traffic.  Flash reads and simulated time
+    #: stay equal too, except where a parent's full-page reads
+    #: interleave with its child's at window boundaries and evict
+    #: pages the child reads again (a known defect: ``deep-hidden``
+    #: reads one page more at 1 than at 256).
     exec_batch: int = 256
 
 
@@ -334,7 +338,11 @@ class Executor:
           scheduled fault hits.
 
         Everything else runs at the configured window size, where every
-        batched edge is drained completely and totals are order-independent.
+        batched edge is drained completely and the clock's integer
+        totals are order-independent.  The size still decides how a
+        parent's page reads interleave with its child's, so the buffer
+        pool can serve a different set of reads (see
+        ``ExecConfig.exec_batch``).
         """
         if self.device.faults is not None:
             return 1

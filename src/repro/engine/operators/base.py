@@ -10,8 +10,11 @@ whichever operator is currently on top of the execution stack -- a parent
 iterating its child is off the top while the child runs, so each operator
 accumulates only its *own* time.  Attribution marks happen once per
 batch window, not once per tuple, which is what makes large scans cheap
-on the host: batching is purely a host-side execution detail and must
-never change what the simulated device does.
+on the host.  Hot per-tuple loops likewise count their CPU primitives
+locally and charge them once per window, before the window's mark; the
+clock counts exact integers, so that reads the same as charging every
+tuple.  The window size must not change rows, counters or the clock
+(``ExecConfig.exec_batch`` lists the one known exception).
 
 Operators follow an explicit lifecycle: ``open()`` (declare static RAM
 reservations, recursively), ``batches()`` / ``unbatched()`` / ``rows()``
@@ -60,9 +63,7 @@ class TimeAttribution:
     def __init__(self, device: SmartUsbDevice):
         self.device = device
         self._stack: list[OperatorStats] = []
-        # The totals dict is stable across clock.reset(), so reading it
-        # directly keeps this hot path allocation-free.
-        self._totals = device.clock.totals
+        self._clock = device.clock
         #: How many times :meth:`_mark` has run -- the per-batch (was:
         #: per-tuple) overhead the batch protocol exists to amortise.
         self.marks = 0
@@ -79,14 +80,12 @@ class TimeAttribution:
 
     def _mark(self) -> None:
         self.marks += 1
-        totals = self._totals
+        time_now = self._clock.breakdown()
         flash_now = (
-            totals["flash_read"]
-            + totals["flash_write"]
-            + totals["flash_erase"]
+            time_now.flash_read + time_now.flash_write + time_now.flash_erase
         )
-        usb_now = totals["usb"]
-        now = flash_now + usb_now + totals["cpu"]
+        usb_now = time_now.usb
+        now = time_now.total
         wall = time.perf_counter()
         flash_stats = self.device.flash.stats
         reads = flash_stats.page_reads
@@ -120,14 +119,7 @@ class TimeAttribution:
 
     def sim_now(self) -> float:
         """The simulated clock right now, without attributing anything."""
-        totals = self._totals
-        return (
-            totals["flash_read"]
-            + totals["flash_write"]
-            + totals["flash_erase"]
-            + totals["usb"]
-            + totals["cpu"]
-        )
+        return self._clock.now
 
     def stamp_start(self, stats: OperatorStats) -> None:
         """Stamp an operator's first pull without an attribution window.
@@ -182,9 +174,9 @@ class ExecContext:
     bloom_fp_target: float = 0.01
     #: Rows per visible-value fetch batch during projection.
     fetch_batch: int = 128
-    #: Items per attribution-marked batch window (host-side only: must
-    #: never change simulated behaviour).  The executor pins this to 1
-    #: for plans whose demand is data-dependent (LIMIT, fault runs).
+    #: Items per attribution-marked batch window.  The executor pins
+    #: this to 1 for plans whose demand is data-dependent (LIMIT, fault
+    #: runs); see ``ExecConfig.exec_batch`` for what the size may move.
     exec_batch: int = 256
     #: Live per-operator RAM reservations (stats identity -> bytes),
     #: declared via :meth:`reserve` and dropped by ``Operator.close()``.
@@ -251,7 +243,17 @@ class Operator:
         ctx.register(self.stats)
 
     def _produce(self):
-        raise NotImplementedError
+        """Per-item output.  The default is the windowed path with a
+        window of one item, so charges counted per window land per
+        item; subclasses override this or :meth:`_produce_batches`."""
+        if type(self)._produce_batches is Operator._produce_batches:
+            raise NotImplementedError
+        batches = self._produce_batches(1)
+        try:
+            for batch in batches:
+                yield from batch
+        finally:
+            batches.close()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -314,10 +316,16 @@ class Operator:
         supporting ``len()`` and per-item iteration is a valid batch.
 
         Overrides MUST respect ``cap`` (the executor pins it to 1 for
-        fault runs and data-dependent plans) and MUST charge the exact
-        same simulated-hardware costs, with flash/USB operations in the
-        exact same order, as the per-item path -- batching and payload
-        representation are host-side details only.
+        fault runs and data-dependent plans) and MUST charge the same
+        simulated-hardware costs as the per-item path, with flash and
+        USB operations in the same order.  CPU primitives may be
+        counted and charged once per window, but before the window's
+        yield (its attribution mark) and before any USB transfer, so
+        every clock reading sees the per-item total.  The window size
+        is not purely a host-side detail: it decides where the parent's
+        work interleaves with this operator's, and so which pages the
+        buffer pool holds when each read happens (see
+        ``ExecConfig.exec_batch``).
         """
         inner = self._produce()
         try:

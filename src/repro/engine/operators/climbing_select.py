@@ -10,10 +10,10 @@ values).
 
 from __future__ import annotations
 
-from repro.columns import chunk_ids
+from repro.columns import IdColumn, chunks
 from repro.engine.operators.base import ExecContext, Operator, PlanExecutionError
 from repro.index.climbing import ClimbingIndex
-from repro.index.posting import merge_posting_streams
+from repro.index.posting import merge_posting_windows
 from repro.sql.binder import EQ, IN, RANGE, Predicate
 
 
@@ -41,6 +41,19 @@ class ClimbingSelectOp(Operator):
         self.target_table = target_table.lower()
 
     def _produce(self):
+        for ids in self._windows(1):
+            yield from ids
+
+    def _produce_batches(self, cap: int):
+        # Posting-list IDs travel as typed columns.
+        for ids in self._windows(cap):
+            yield IdColumn.from_ids(ids)
+
+    def _windows(self, cap: int):
+        """The qualifying IDs in lists of up to ``cap``.  A single list
+        is sliced in the default islice pattern and a union charges its
+        merge steps once per list, so flash reads stay position for
+        position those of per-ID pulls."""
         page = self.ctx.device.profile.page_size
         if self.predicate.kind == EQ:
             factory = self.index.stream_eq(
@@ -49,11 +62,7 @@ class ClimbingSelectOp(Operator):
             if factory is None:
                 return
             self.reserve(page)
-            iterator, closer = factory()
-            try:
-                yield from iterator
-            finally:
-                closer()
+            yield from chunks(_posting_ids(factory), cap)
             return
         if self.predicate.kind == IN:
             # One posting per listed value, unioned like a range.
@@ -74,16 +83,20 @@ class ClimbingSelectOp(Operator):
             return
         fan_in = self.ctx.fan_in()
         self.reserve(min(len(factories), fan_in) * page + page)
-        yield from merge_posting_streams(
+        yield from merge_posting_windows(
             self.ctx.device,
             factories,
             label=f"{self.index.table}.{self.index.column}",
             fan_in=fan_in,
+            window=cap,
             dedup=True,
         )
 
-    def _produce_batches(self, cap: int):
-        # Posting-list IDs travel as typed columns; the underlying
-        # stream is advanced in the default islice pattern, so flash
-        # reads and merge charges are position-for-position identical.
-        yield from chunk_ids(self._produce(), cap)
+
+def _posting_ids(factory):
+    """One posting list's IDs; its reader closes as the list runs out."""
+    iterator, closer = factory()
+    try:
+        yield from iterator
+    finally:
+        closer()

@@ -13,10 +13,10 @@ unselective visible predicates and motivates Post-filtering.
 
 from __future__ import annotations
 
-from repro.columns import chunk_ids
+from repro.columns import IdColumn, chunks
 from repro.engine.operators.base import ExecContext, Operator, PlanExecutionError
 from repro.index.climbing import ClimbingIndex
-from repro.index.posting import merge_posting_streams
+from repro.index.posting import merge_posting_windows
 
 
 class ConvertIdsOp(Operator):
@@ -47,10 +47,20 @@ class ConvertIdsOp(Operator):
         self.target_table = target_table.lower()
 
     def _produce(self):
+        for ids in self._windows(1):
+            yield from ids
+
+    def _produce_batches(self, cap: int):
+        # The converted IDs travel as typed columns.
+        for ids in self._windows(cap):
+            yield IdColumn.from_ids(ids)
+
+    def _windows(self, cap: int):
+        """The converted IDs in lists of up to ``cap``."""
         if self.target_table == self.key_index.table:
             # Converting to the same level is the identity: per-item
             # pass-through so the parent's demand stays exact.
-            yield from self.child.unbatched()
+            yield from chunks(self.child.unbatched(), cap)
             return
         factories = []
         for value in self.child.rows():
@@ -62,16 +72,12 @@ class ConvertIdsOp(Operator):
         fan_in = self.ctx.fan_in()
         page = self.ctx.device.profile.page_size
         self.reserve(min(len(factories), fan_in) * page + page)
-        yield from merge_posting_streams(
+        # The merge charges its steps once per list.
+        yield from merge_posting_windows(
             self.ctx.device,
             factories,
             label=f"convert:{self.key_index.table}",
             fan_in=fan_in,
+            window=cap,
             dedup=True,
         )
-
-    def _produce_batches(self, cap: int):
-        # The merged (or identity pass-through) ID stream re-chunked into
-        # typed columns; the producer is advanced in the same islice
-        # pattern as the default path, so hardware behaviour is untouched.
-        yield from chunk_ids(self._produce(), cap)

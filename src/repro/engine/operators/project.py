@@ -58,19 +58,25 @@ class ProjectOp(Operator):
                     f"covered by plan tuples {self.tables}"
                 )
 
-    def _position(self, table: str) -> int:
-        return self.tables.index(table)
-
     def _open(self):
         self.reserve(self.ctx.fetch_batch * len(self.tables) * 4)
 
-    def _produce(self):
+    def _produce_batches(self, cap: int):
+        """Assemble result rows in output windows of up to ``cap`` rows.
+
+        Flash reads and visible fetches happen row by row, in the same
+        order at any window size, and a window ends right after its
+        ``cap``-th row.  The decode and compare primitives are counted
+        locally and charged at the end of each window and of each fetch
+        group -- before the child is pulled again, since its window
+        marks and visible fetches read the clock -- so every mark sees
+        the per-tuple total.  The per-item ``_produce`` is this code
+        with a window of one row.
+        """
         ctx = self.ctx
         db = ctx.db
-        # Fetch grouping stays at ``fetch_batch`` regardless of the
-        # execution batch size: the groups decide the observable
-        # fetch_values messages, which must not depend on host batching.
-        batch_size = ctx.fetch_batch
+        chip = ctx.device.chip
+        position = {table: i for i, table in enumerate(self.tables)}
 
         # Persistent readers for tables we read hidden fields from.
         hidden_tables = {t for t, c in self.projections if c.hidden}
@@ -90,122 +96,190 @@ class ProjectOp(Operator):
             recheck_by_table.setdefault(predicate.table, []).append(predicate)
         # Tables we must consult the host about (values or recheck-only).
         fetch_tables = sorted(set(visible_cols) | set(recheck_by_table))
+        fetch_positions = [position[table] for table in fetch_tables]
+        # Catalog lookups, once per query instead of once per row.  A
+        # hidden field is keyed ``(table, field index)``; a visible one
+        # is ``(table, index among the fetched columns)``.
+        def hidden_key(table: str, column: str) -> tuple[str, int]:
+            return table, db.tree.table(table).device_column_index(column)
 
-        try:
-            batch: list[tuple] = []
-            for row in self.child.rows():
-                batch.append(row)
-                if len(batch) >= batch_size:
-                    yield from self._emit_batch(
-                        batch, readers, visible_cols, recheck_by_table,
-                        fetch_tables,
-                    )
-                    batch = []
-            if batch:
-                yield from self._emit_batch(
-                    batch, readers, visible_cols, recheck_by_table,
-                    fetch_tables,
+        residual_plan = [
+            (predicate, position[predicate.table],
+             hidden_key(predicate.table, predicate.column))
+            for predicate in self.residual_hidden
+        ]
+        columns = []
+        for table, column in self.projections:
+            if column.primary_key:
+                columns.append((_KEY, position[table], None))
+            elif column.hidden:
+                columns.append(
+                    (_HIDDEN, position[table], hidden_key(table, column.name))
                 )
+            else:
+                col_pos = visible_cols[table].index(column.name.lower())
+                columns.append((_VISIBLE, position[table], (table, col_pos)))
+        hidden_keys = {key for _p, _pos, key in residual_plan} | {
+            ref for kind, _pos, ref in columns if kind is _HIDDEN
+        }
+
+        decodes = compares = 0
+        out: list[tuple] = []
+        try:
+            # Fetch grouping stays at ``fetch_batch`` regardless of the
+            # window size: the groups decide the observable fetch_values
+            # messages, which must not depend on host batching.
+            for group in _groups(self.child.rows(), ctx.fetch_batch):
+                # 1. Fetch visible values (and presence under recheck).
+                fetched = {
+                    table: ctx.link.fetch_values(
+                        table,
+                        sorted({row[pos] for row in group}),
+                        visible_cols.get(table, []),
+                        recheck_by_table.get(table, []),
+                    )
+                    for table, pos in zip(fetch_tables, fetch_positions)
+                }
+                checks = [
+                    (pos, fetched[table])
+                    for table, pos in zip(fetch_tables, fetch_positions)
+                ]
+                dense = self._dense_tables(group, readers)
+                getters = {
+                    key: self._hidden_field(readers, *key, key[0] in dense)
+                    for key in hidden_keys
+                }
+                residuals = [
+                    (predicate, pos, getters[key])
+                    for predicate, pos, key in residual_plan
+                ]
+                plan = []
+                for kind, pos, ref in columns:
+                    if kind is _HIDDEN:
+                        ref = getters[ref]
+                    elif kind is _VISIBLE:
+                        ref = (fetched[ref[0]], ref[1])
+                    plan.append((kind, pos, ref))
+                # 2. Assemble rows, dropping tuples that failed a recheck
+                #    or a residual hidden predicate.
+                for row in group:
+                    dropped = False
+                    for pos, present in checks:
+                        if row[pos] not in present:
+                            dropped = True
+                            break
+                    if dropped:
+                        # Under a recheck this is (almost always) a Bloom
+                        # false positive surviving post-filtering; count
+                        # it for the cross-query metrics.
+                        if self.visible_recheck:
+                            ctx.bump("bloom_recheck_dropped")
+                        continue
+                    for predicate, pos, getter in residuals:
+                        value = getter(row[pos])
+                        decodes += 1
+                        compares += 1
+                        if not predicate.matches(value):
+                            dropped = True
+                            break
+                    if dropped:
+                        continue
+                    values = []
+                    for kind, pos, ref in plan:
+                        key = row[pos]
+                        if kind is _KEY:
+                            values.append(key)
+                        elif kind is _HIDDEN:
+                            values.append(ref(key))
+                            decodes += 1
+                        else:
+                            fetched_values, col_pos = ref
+                            values.append(fetched_values[key][col_pos])
+                    out.append(tuple(values))
+                    if len(out) >= cap:
+                        _charge(chip, decodes, compares)
+                        decodes = compares = 0
+                        yield out
+                        out = []
+                # The next group pulls child windows, whose marks must
+                # see this group's charges.
+                _charge(chip, decodes, compares)
+                decodes = compares = 0
         finally:
+            _charge(chip, decodes, compares)
             for reader in readers.values():
                 reader.close()
+        if out:
+            yield out
 
-    def _emit_batch(
-        self, batch, readers, visible_cols, recheck_by_table, fetch_tables
-    ):
-        ctx = self.ctx
-        db = ctx.db
-        # Hidden-field fetch route per table: dense row sets go through
-        # the buffer pool (one full-page read serves every field on the
-        # page), sparse ones stay on cheap partial reads.  Same density
-        # gate as SKT access; ``batch`` is a ``fetch_batch`` window, so
-        # the choice is independent of the host-side execution batch.
-        dense_tables = set()
-        pool = ctx.device.page_cache
+    def _dense_tables(self, group, readers) -> set[str]:
+        """Hidden-field fetch route per table for one fetch group.
+
+        Dense row sets go through the buffer pool (one full-page read
+        serves every field on the page), sparse ones stay on cheap
+        partial reads.  Same density gate as SKT access; ``group`` is a
+        ``fetch_batch`` group, so the choice is independent of the
+        window size.
+        """
+        pool = self.ctx.device.page_cache
         pool_fits = pool.enabled and (
             pool.capacity_pages is None
             or pool.capacity_pages >= max(1, len(readers))
         )
-        if pool_fits:
-            for table, reader in readers.items():
-                if len(batch) * reader.slots_per_page >= 2 * reader.count:
-                    dense_tables.add(table)
-        # 1. Fetch visible values (and presence under recheck) per table.
-        fetched: dict[str, dict[int, tuple]] = {}
-        for table in fetch_tables:
-            position = self._position(table)
-            ids = sorted({row[position] for row in batch})
-            fetched[table] = ctx.link.fetch_values(
-                table,
-                ids,
-                visible_cols.get(table, []),
-                recheck_by_table.get(table, []),
-            )
-        # 2. Assemble rows, dropping tuples that failed a recheck or a
-        #    residual hidden predicate.
-        for row in batch:
-            dropped = False
-            for table in fetch_tables:
-                if row[self._position(table)] not in fetched[table]:
-                    dropped = True
-                    break
-            if dropped:
-                # Under a recheck this is (almost always) a Bloom false
-                # positive surviving post-filtering; count it for the
-                # cross-query metrics.
-                if self.visible_recheck:
-                    self.ctx.bump("bloom_recheck_dropped")
-                continue
-            for predicate in self.residual_hidden:
-                value = self._hidden_value(
-                    readers, predicate.table,
-                    row[self._position(predicate.table)],
-                    db.tree.table(predicate.table).device_column_index(
-                        predicate.column
-                    ),
-                    cached=predicate.table in dense_tables,
-                )
-                ctx.device.chip.charge("compare")
-                if not predicate.matches(value):
-                    dropped = True
-                    break
-            if dropped:
-                continue
-            out = []
-            for table, column in self.projections:
-                key = row[self._position(table)]
-                if column.primary_key:
-                    out.append(key)
-                elif column.hidden:
-                    field_idx = db.tree.table(table).device_column_index(
-                        column.name
-                    )
-                    out.append(
-                        self._hidden_value(
-                            readers, table, key, field_idx,
-                            cached=table in dense_tables,
-                        )
-                    )
-                else:
-                    col_pos = visible_cols[table].index(column.name.lower())
-                    out.append(fetched[table][key][col_pos])
-            yield tuple(out)
+        if not pool_fits:
+            return set()
+        return {
+            table
+            for table, reader in readers.items()
+            if len(group) * reader.slots_per_page >= 2 * reader.count
+        }
 
-    def _hidden_value(
-        self, readers, table: str, pk: int, field_idx: int,
-        cached: bool = False,
+    def _hidden_field(
+        self, readers, table: str, field_idx: int, cached: bool
     ):
-        db = self.ctx.db
-        heap = db.heaps[table]
-        try:
-            rowid = heap.rowid_for_pk(pk)
-        except KeyNotFoundError:
-            raise PlanExecutionError(
-                f"dangling key {pk} for table {table!r} during projection"
-            ) from None
+        """A getter from primary key to the decoded hidden field.
+
+        The getter reads flash but charges nothing: the caller counts one
+        ``decode_field`` per call and charges it with its window.
+        """
+        heap = self.ctx.db.heaps[table]
+        rowid_for_pk = heap.rowid_for_pk
         off, width = heap.codec.field_slice(field_idx)
+        decode = heap.codec.types[field_idx].decode
         reader = readers[table]
         fetch = reader.field_cached if cached else reader.field
-        raw = fetch(rowid, off, width)
-        self.ctx.device.chip.charge("decode_field")
-        return heap.codec.types[field_idx].decode(raw)
+
+        def value(pk: int):
+            try:
+                rowid = rowid_for_pk(pk)
+            except KeyNotFoundError:
+                raise PlanExecutionError(
+                    f"dangling key {pk} for table {table!r} during projection"
+                ) from None
+            return decode(fetch(rowid, off, width))
+
+        return value
+
+
+#: Output column kinds of the projection plan.
+_KEY, _HIDDEN, _VISIBLE = "key", "hidden", "visible"
+
+
+def _charge(chip, decodes: int, compares: int) -> None:
+    """Charge one window's counted primitives (none charged at zero)."""
+    if decodes:
+        chip.charge("decode_field", decodes)
+    if compares:
+        chip.charge("compare", compares)
+
+
+def _groups(rows, size: int):
+    """Chunk ``rows`` into lists of ``size`` (the last may be shorter)."""
+    group: list = []
+    for row in rows:
+        group.append(row)
+        if len(group) >= size:
+            yield group
+            group = []
+    if group:
+        yield group

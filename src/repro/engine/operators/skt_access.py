@@ -35,43 +35,16 @@ class SktAccessOp(Operator):
     def _open(self):
         self.reserve(self.ctx.device.profile.page_size)
 
-    def _produce(self):
-        skt = self.skt
-        root_heap = self.ctx.db.heaps[skt.root]
-        page = self.ctx.device.profile.page_size
-        rows_per_page = page // skt.record_width
-        # Dense enough that >=2 hits land on each page?  Then full-page
-        # reads through the buffer pool win over per-row partial reads
-        # -- but only when a pool exists to hold the page between hits.
-        expected = self.expected_count
-        use_cache = (
-            self.ctx.device.page_cache.enabled
-            and expected is not None
-            and skt.count > 0
-            and expected / skt.count >= 2 / rows_per_page
-        )
-        with skt.reader("skt-access") as reader:
-            for root_id in self.child.rows():
-                try:
-                    rowid = root_heap.rowid_for_pk(root_id)
-                except KeyNotFoundError:
-                    continue
-                if use_cache:
-                    raw = reader.record_cached(rowid)
-                else:
-                    raw = reader.record(rowid)
-                self.ctx.device.chip.charge(
-                    "decode_field", len(skt.tables)
-                )
-                yield skt.decode(raw)
-
     def _produce_batches(self, cap: int):
         """Vectorized SKT access: resolve and fetch one child window of
         root IDs, then bulk-decode the subtree key tuples.
 
         Flash operations (PK binary-search probes, record fetches) happen
-        per ID in child-stream order, exactly as the per-item path inside
-        one batch window; only the per-record decode charges are bulked.
+        per ID in child-stream order; the per-record decode charges are
+        counted and charged once per child window, before any of its
+        tuples is yielded.  The per-item ``_produce`` is this code with
+        a window of one (child windows are one ID then too: the executor
+        pins every window to 1 for per-item plans).
         """
         skt = self.skt
         root_heap = self.ctx.db.heaps[skt.root]

@@ -56,6 +56,9 @@ class SecureChip:
     #: Bound cycle-counter children per primitive (hot path).
     _bound: dict = field(default_factory=dict, repr=False)
 
+    def __post_init__(self) -> None:
+        self.clock.check_profile(self.profile)
+
     def _cycles(self, op: str, cycles: int) -> None:
         bound = self._bound.get(op)
         if bound is None:
@@ -66,7 +69,12 @@ class SecureChip:
         bound.inc(cycles)
 
     def charge(self, op: str, count: int = 1) -> None:
-        """Charge ``count`` occurrences of primitive ``op``."""
+        """Charge ``count`` occurrences of primitive ``op``.
+
+        The clock counts cycles exactly, so a loop may count its
+        primitives locally and charge them once per output window: the
+        total is the same as charging each occurrence on its own.
+        """
         if count < 0:
             raise ValueError("operation count cannot be negative")
         try:
@@ -78,7 +86,7 @@ class SecureChip:
         )
         if self.metrics is not None:
             self._cycles(op, cycles)
-        self.clock.advance(cycles / self.profile.cpu_hz, "cpu")
+        self.clock.advance(cycles, "cpu_cycles")
 
     def charge_cycles(self, cycles: int) -> None:
         """Charge a raw cycle count (for costs outside the primitive set)."""
@@ -89,4 +97,4 @@ class SecureChip:
         )
         if self.metrics is not None:
             self._cycles("raw", cycles)
-        self.clock.advance(cycles / self.profile.cpu_hz, "cpu")
+        self.clock.advance(cycles, "cpu_cycles")

@@ -3,23 +3,61 @@
 The GhostDB demo reports execution times in seconds of *device* time
 (Figure 6).  Real wall-clock time of this Python process is meaningless for
 that purpose, so each hardware component charges the simulated cost of its
-operations into a single :class:`SimClock`.  The clock keeps a per-category
-breakdown (flash reads vs writes vs erases, USB transfer, CPU) which the
-benchmarks report alongside the total.
+operations into a single :class:`SimClock`.
+
+The clock counts exact integers in each operation's native unit -- CPU
+cycles, page reads, page programs, block erases, USB messages and bits --
+and converts to seconds only when read, with the profile's constants.  A
+total is therefore a function of *how many* operations ran, never of the
+order their charges arrived in: charging one window's primitives at once
+reads exactly like charging them one by one.  The per-category breakdown
+(flash reads vs writes vs erases, USB transfer, CPU) that the benchmarks
+report alongside the total comes from the same conversion.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-#: Canonical charge categories.  Components may only charge these, so the
-#: breakdown is stable across the whole code base.
+from repro.hardware.profiles import DEMO_DEVICE, HardwareProfile
+
+#: Canonical charge categories.  Every unit charges exactly one of them,
+#: so the breakdown is stable across the whole code base.
 CATEGORIES = (
     "flash_read",
     "flash_write",
     "flash_erase",
     "usb",
     "cpu",
+)
+
+#: Integer stall units per second.  Arbitrary-duration stalls (a USB
+#: fault stall, the link's retry backoff, FTL throttling) are rare and
+#: not a count of any operation, so they are kept in whole picoseconds.
+PICOSECONDS = 10**12
+
+#: Every unit the clock counts, and the category it is charged to.  Each
+#: category also has a ``<category>_stall_ps`` unit (see :meth:`SimClock.stall`).
+UNITS = {
+    "page_reads_partial": "flash_read",
+    "page_reads_full": "flash_read",
+    "page_programs": "flash_write",
+    "block_erases": "flash_erase",
+    "usb_messages": "usb",
+    "usb_bits": "usb",
+    "cpu_cycles": "cpu",
+    **{f"{category}_stall_ps": category for category in CATEGORIES},
+}
+
+#: The profile constants the conversion reads.
+TIMING_FIELDS = (
+    "flash_read_partial_s",
+    "flash_read_full_s",
+    "flash_write_s",
+    "flash_erase_s",
+    "usb_setup_s",
+    "usb_bits_per_s",
+    "cpu_hz",
 )
 
 
@@ -65,62 +103,96 @@ class TimeBreakdown:
         return {name: getattr(self, name) for name in CATEGORIES}
 
 
-@dataclass
 class SimClock:
-    """Accumulates simulated seconds, broken down by charge category."""
+    """Exact per-unit operation counts, read as simulated seconds."""
 
-    _totals: dict[str, float] = field(
-        default_factory=lambda: {name: 0.0 for name in CATEGORIES}
-    )
-    #: Per-category totals of the session plane this clock charges
-    #: as well (see :meth:`feed`).  A device clock feeds the active
-    #: session's private clock, so each session accumulates exactly the
-    #: charge sequence it would see running alone (starting from zero)
-    #: while this clock keeps the global interleaved timeline.  A bare
-    #: clock feeds a private account nobody reads.
-    _plane: dict[str, float] = field(
-        default_factory=lambda: {name: 0.0 for name in CATEGORIES},
-        init=False,
-        repr=False,
-        compare=False,
-    )
+    def __init__(self, profile: HardwareProfile = DEMO_DEVICE):
+        #: The constants that turn counts into seconds.
+        self.profile = profile
+        #: Integer count per unit since the last :meth:`reset`.  The dict
+        #: object is stable, so hot paths may bump it directly (together
+        #: with :attr:`plane`) instead of calling :meth:`advance`.
+        self.ticks: dict[str, int] = dict.fromkeys(UNITS, 0)
+        #: The counts of the session plane this clock charges as well
+        #: (see :meth:`feed`).  A device clock feeds the active session's
+        #: private clock, so each session accumulates exactly the charges
+        #: it would see running alone (starting from zero) while this
+        #: clock keeps the global interleaved timeline.  A bare clock
+        #: feeds a private account nobody reads.
+        self.plane: dict[str, int] = dict.fromkeys(UNITS, 0)
 
-    def advance(self, seconds: float, category: str) -> None:
-        """Charge ``seconds`` of simulated time to ``category``.
+    def check_profile(self, profile: HardwareProfile) -> None:
+        """Refuse a component whose timing constants differ from the
+        ones this clock converts with."""
+        for name in TIMING_FIELDS:
+            if getattr(profile, name) != getattr(self.profile, name):
+                raise ValueError(
+                    f"profile {profile.name!r} disagrees with the clock's "
+                    f"{self.profile.name!r} on {name}"
+                )
 
-        Raises ``ValueError`` for unknown categories or negative charges so
-        accounting bugs surface immediately instead of skewing benchmarks.
+    def advance(self, count: int, unit: str) -> None:
+        """Charge ``count`` operations of ``unit``.
+
+        Raises ``ValueError`` for unknown units or negative counts, and
+        ``TypeError`` for a non-integer count, so accounting bugs surface
+        immediately instead of skewing benchmarks.
         """
-        if category not in self._totals:
+        if unit not in self.ticks:
+            raise ValueError(f"unknown clock unit: {unit!r}")
+        if not isinstance(count, int):
+            raise TypeError(f"clock counts are integers, not {count!r}")
+        if count < 0:
+            raise ValueError(f"negative clock charge: {count!r}")
+        self.ticks[unit] += count
+        self.plane[unit] += count
+
+    def stall(self, seconds: float, category: str) -> None:
+        """Charge an arbitrary duration to ``category``, rounded to
+        whole picoseconds."""
+        if category not in CATEGORIES:
             raise ValueError(f"unknown clock category: {category!r}")
         if seconds < 0:
-            raise ValueError(f"negative time charge: {seconds!r}")
-        self._totals[category] += seconds
-        self._plane[category] += seconds
+            raise ValueError(f"negative clock charge: {seconds!r}")
+        self.advance(round(seconds * PICOSECONDS), f"{category}_stall_ps")
 
     def feed(self, clock: "SimClock") -> None:
         """Charge every later advance to ``clock`` too.  Feeds do not
         chain: ``clock``'s own feed is not charged."""
-        self._plane = clock._totals
+        self.plane = clock.ticks
+
+    def breakdown(self) -> TimeBreakdown:
+        """The per-category totals in seconds: one fixed conversion of
+        the current counts."""
+        t = self.ticks
+        p = self.profile
+        return TimeBreakdown(
+            flash_read=(
+                t["page_reads_partial"] * p.flash_read_partial_s
+                + t["page_reads_full"] * p.flash_read_full_s
+                + t["flash_read_stall_ps"] / PICOSECONDS
+            ),
+            flash_write=(
+                t["page_programs"] * p.flash_write_s
+                + t["flash_write_stall_ps"] / PICOSECONDS
+            ),
+            flash_erase=(
+                t["block_erases"] * p.flash_erase_s
+                + t["flash_erase_stall_ps"] / PICOSECONDS
+            ),
+            usb=(
+                t["usb_messages"] * p.usb_setup_s
+                + t["usb_bits"] / p.usb_bits_per_s
+                + t["usb_stall_ps"] / PICOSECONDS
+            ),
+            cpu=t["cpu_cycles"] / p.cpu_hz + t["cpu_stall_ps"] / PICOSECONDS,
+        )
 
     @property
     def now(self) -> float:
         """Total simulated seconds elapsed."""
-        return sum(self._totals.values())
-
-    @property
-    def totals(self) -> dict[str, float]:
-        """Live per-category totals (read-only by convention).
-
-        The dict object is stable across :meth:`reset`, so hot paths may
-        hold a reference instead of re-fetching snapshots.
-        """
-        return self._totals
-
-    def breakdown(self) -> TimeBreakdown:
-        """A snapshot of the per-category totals."""
-        return TimeBreakdown(**self._totals)
+        return self.breakdown().total
 
     def reset(self) -> None:
-        for name in self._totals:
-            self._totals[name] = 0.0
+        for unit in self.ticks:
+            self.ticks[unit] = 0

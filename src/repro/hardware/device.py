@@ -69,7 +69,7 @@ class HardwareLease:
         #: this lease is active.  Starts at zero like a single-session
         #: device's clock, so per-query time diffs are bit-identical to
         #: a serial run.
-        self.clock = SimClock()
+        self.clock = SimClock(profile)
         self.ram = RamBudget(capacity=ram_bytes, metrics=metrics, flight=flight)
         self.flash_stats = FlashStats()
         if cache_pages is None:
@@ -127,7 +127,7 @@ class SmartUsbDevice:
         #: None).  Host-side diagnostic state, like the USB capture log:
         #: journaling never touches the clock, the budget or the wire.
         self.flight = flight
-        self.clock = SimClock()
+        self.clock = SimClock(profile)
         self.flash = NandFlash(
             profile=profile, clock=self.clock, metrics=metrics
         )

@@ -129,6 +129,16 @@ class NandFlash:
     #: Bound counter children, keyed by (name, label items) -- one
     #: registry resolution per site instead of one per simulated op.
     _bound: dict = field(default_factory=dict, repr=False)
+    #: Read-path constants and the bound ``(full, partial)`` read
+    #: counters, resolved once instead of on every page read.
+    _num_pages: int = field(init=False, repr=False)
+    _partial_limit: float = field(init=False, repr=False)
+    _read_counters: tuple | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.clock.check_profile(self.profile)
+        self._num_pages = self.profile.num_blocks * self.profile.pages_per_block
+        self._partial_limit = self.profile.page_size * PARTIAL_READ_FRACTION
 
     def _count(self, name: str, amount: int = 1, **labels) -> None:
         if self.metrics is None:
@@ -142,10 +152,10 @@ class NandFlash:
 
     @property
     def num_pages(self) -> int:
-        return self.profile.num_blocks * self.profile.pages_per_block
+        return self._num_pages
 
     def _check_page(self, page: int) -> None:
-        if not 0 <= page < self.num_pages:
+        if not 0 <= page < self._num_pages:
             raise FlashError(f"physical page {page} out of range")
 
     def block_of(self, page: int) -> int:
@@ -170,15 +180,8 @@ class NandFlash:
             raise FlashError(
                 f"read of [{offset}, {offset + length}) exceeds page size"
             )
-        partial = length <= page_size * PARTIAL_READ_FRACTION
-        if partial:
-            self.stats.page_reads_partial += 1
-            self.clock.advance(self.profile.flash_read_partial_s, "flash_read")
-            self._count("ghostdb_device_flash_reads_total", kind="partial")
-        else:
-            self.stats.page_reads_full += 1
-            self.clock.advance(self.profile.flash_read_full_s, "flash_read")
-            self._count("ghostdb_device_flash_reads_total", kind="full")
+        partial = length <= self._partial_limit
+        self._charge_read(partial)
         if self.faults is not None:
             decision = self.faults.flash_decision("read", length)
             if decision is not None:
@@ -190,25 +193,33 @@ class NandFlash:
                     # Transient bit flip caught by the spare-area ECC:
                     # the controller re-reads the page (charged at the
                     # same rate class) and delivers corrected data.
-                    if partial:
-                        self.stats.page_reads_partial += 1
-                        self.clock.advance(
-                            self.profile.flash_read_partial_s, "flash_read"
-                        )
-                        self._count(
-                            "ghostdb_device_flash_reads_total", kind="partial"
-                        )
-                    else:
-                        self.stats.page_reads_full += 1
-                        self.clock.advance(
-                            self.profile.flash_read_full_s, "flash_read"
-                        )
-                        self._count(
-                            "ghostdb_device_flash_reads_total", kind="full"
-                        )
+                    self._charge_read(partial)
                     self._count("ghostdb_flash_ecc_corrections_total")
-        data = self._pages.get(page, b"\xff" * page_size)
+        data = self._pages.get(page)
+        if data is None:
+            return b"\xff" * length
         return data[offset : offset + length]
+
+    def _charge_read(self, partial: bool) -> None:
+        """One page read on the clock, the plane's counters and the
+        device metrics -- the per-read hot path, so no :meth:`_count`."""
+        unit = "page_reads_partial" if partial else "page_reads_full"
+        clock = self.clock
+        clock.ticks[unit] += 1
+        clock.plane[unit] += 1
+        if partial:
+            self.stats.page_reads_partial += 1
+        else:
+            self.stats.page_reads_full += 1
+        if self.metrics is not None:
+            counters = self._read_counters
+            if counters is None:
+                reads = self.metrics.counter("ghostdb_device_flash_reads_total")
+                counters = self._read_counters = (
+                    reads.labelled(kind="full"),
+                    reads.labelled(kind="partial"),
+                )
+            counters[partial].inc()
 
     def program(
         self,
@@ -239,7 +250,7 @@ class NandFlash:
             )
         padded = data + b"\xff" * (self.profile.page_size - len(data))
         self.stats.page_writes += 1
-        self.clock.advance(self.profile.flash_write_s, "flash_write")
+        self.clock.advance(1, "page_programs")
         self._count("ghostdb_device_flash_writes_total")
         if self.faults is not None:
             decision = self.faults.flash_decision("program")
@@ -300,7 +311,7 @@ class NandFlash:
         per_block = self.profile.pages_per_block
         first = block * per_block
         self.stats.block_erases += 1
-        self.clock.advance(self.profile.flash_erase_s, "flash_erase")
+        self.clock.advance(1, "block_erases")
         self._count("ghostdb_device_flash_erases_total")
         if self.faults is not None:
             decision = self.faults.flash_decision("erase", per_block)
@@ -338,7 +349,7 @@ class NandFlash:
         if count < 0:
             raise FlashError("negative read count")
         self.stats.page_reads_partial += count
-        self.clock.advance(count * self.profile.flash_read_partial_s, "flash_read")
+        self.clock.advance(count, "page_reads_partial")
         self._count("ghostdb_device_flash_reads_total", count, kind="partial")
 
     # ------------------------------------------------------------------

@@ -189,7 +189,7 @@ class FlashTranslationLayer:
         if phys is None:
             raise FlashError(f"logical page {lpage} has never been written")
         cache = self.cache
-        if cache is None or not cache.enabled:
+        if cache is None or cache.capacity_pages == 0:
             return self.flash.read(phys, offset, length)
         page_size = self.flash.profile.page_size
         full = offset == 0 and (length is None or length >= page_size)
@@ -252,7 +252,7 @@ class FlashTranslationLayer:
         if not engaged:
             return
         stall = self.throttle_factor * profile.flash_write_s
-        self.flash.clock.advance(stall, "flash_write")
+        self.flash.clock.stall(stall, "flash_write")
         if self.flash.metrics is not None:
             self.flash.metrics.counter(
                 "ghostdb_ftl_throttle_writes_total"

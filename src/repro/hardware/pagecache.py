@@ -146,17 +146,19 @@ class PageCache:
         probes are served for free but leave the LRU order untouched, so
         cache state depends only on which pages were fully read.
         """
-        if not self.enabled:
+        if self.capacity_pages == 0:
             return None
         data = self._pages.get(lpage)
         if data is None:
             self.stats.misses += 1
-            self._count("ghostdb_cache_misses_total")
+            if self.metrics is not None:
+                self._bind("ghostdb_cache_misses_total").inc()
             return None
         if promote:
             self._pages.move_to_end(lpage)
         self.stats.hits += 1
-        self._count("ghostdb_cache_hits_total")
+        if self.metrics is not None:
+            self._bind("ghostdb_cache_hits_total").inc()
         return data
 
     def admit(self, lpage: int, data: bytes) -> None:
@@ -261,14 +263,16 @@ class PageCache:
             self.stats.evictions += 1
             self._count("ghostdb_cache_evictions_total")
 
-    def _count(self, name: str, amount: int = 1) -> None:
-        if self.metrics is None:
-            return
+    def _bind(self, name: str):
         bound = self._bound.get(name)
         if bound is None:
             bound = self.metrics.counter(name).labelled()
             self._bound[name] = bound
-        bound.inc(amount)
+        return bound
+
+    def _count(self, name: str, amount: int = 1) -> None:
+        if self.metrics is not None:
+            self._bind(name).inc(amount)
 
     def _gauge(self) -> None:
         if self.metrics is not None:

@@ -98,6 +98,9 @@ class UsbChannel:
     #: Optional device-lifetime metrics sink (monotonic; includes load).
     metrics: MetricsRegistry | None = None
 
+    def __post_init__(self) -> None:
+        self.clock.check_profile(self.profile)
+
     def transfer(
         self,
         direction: Direction,
@@ -116,10 +119,8 @@ class UsbChannel:
                 f"USB payloads must be bytes, got {type(payload).__name__}"
             )
         payload = bytes(payload)
-        seconds = self.profile.usb_setup_s + (
-            len(payload) * 8 / self.profile.usb_bits_per_s
-        )
-        self.clock.advance(seconds, "usb")
+        self.clock.advance(1, "usb_messages")
+        self.clock.advance(len(payload) * 8, "usb_bits")
         capture = self.capture
         if direction is Direction.TO_DEVICE:
             capture.bytes_to_device += len(payload)
@@ -153,7 +154,7 @@ class UsbChannel:
                 delivered = payload[: decision.length]
             elif decision.kind == "stall":
                 # The bus hiccupped; the message arrives intact but late.
-                self.clock.advance(decision.seconds, "usb")
+                self.clock.stall(decision.seconds, "usb")
         seq = len(capture.log)
         record = TrafficRecord(
             seq=seq,

@@ -19,6 +19,7 @@ from repro.index.posting import (
     PostingFileWriter,
     PostingRef,
     merge_posting_streams,
+    merge_posting_windows,
 )
 from repro.index.skt import SubtreeKeyTable
 from repro.index.climbing import ClimbingIndex
@@ -32,4 +33,5 @@ __all__ = [
     "SubtreeKeyTable",
     "bloom_parameters",
     "merge_posting_streams",
+    "merge_posting_windows",
 ]

@@ -186,6 +186,22 @@ def merge_posting_streams(
     fan_in: int,
     dedup: bool = True,
 ):
+    """Union many sorted ID streams under a bounded fan-in, one ID at a
+    time: :func:`merge_posting_windows` with a window of one ID."""
+    for window in merge_posting_windows(
+        device, open_stream_factories, label, fan_in, window=1, dedup=dedup
+    ):
+        yield from window
+
+
+def merge_posting_windows(
+    device: SmartUsbDevice,
+    open_stream_factories,
+    label: str,
+    fan_in: int,
+    window: int,
+    dedup: bool = True,
+):
     """Union many sorted ID streams under a bounded fan-in.
 
     ``open_stream_factories`` is a sequence of zero-argument callables,
@@ -195,7 +211,10 @@ def merge_posting_streams(
     the flash writes that make this the expensive path the paper's
     Post-filtering avoids.
 
-    Yields the merged (optionally deduplicated) IDs in sorted order.
+    Yields the merged (optionally deduplicated) IDs in sorted order, as
+    lists of up to ``window`` IDs.  Merge steps are charged once per list
+    (see :func:`_heap_merge`); spill merges run in lists of the same
+    size, so a window of one keeps every flash operation in per-ID order.
     """
     if fan_in < 2:
         raise ValueError("fan-in must be at least 2")
@@ -203,19 +222,22 @@ def merge_posting_streams(
     if not factories:
         return
     if len(factories) <= fan_in:
-        yield from _heap_merge(device, factories, dedup)
+        yield from _heap_merge(device, factories, dedup, window)
         return
     # Too many streams: merge groups into temporary runs, then merge runs.
     # ``live`` owns every temporary run not yet freed, so a failure at
     # any point (e.g. RAM exhaustion opening a stream) releases both the
     # writer's RAM buffer (finish() in the finally) and the flash pages.
     live: list[Run] = []
+    tail: list[int] = []
 
     def merge_into_run(stream_factories) -> Run:
         writer = RunWriter(device, ID_WIDTH, f"convert-spill:{label}")
+        pack = _PACK.pack
         try:
-            for value in _heap_merge(device, stream_factories, dedup):
-                writer.append(_PACK.pack(value))
+            for ids in _heap_merge(device, stream_factories, dedup, window):
+                for value in ids:
+                    writer.append(pack(value))
         finally:
             run = writer.finish()
             live.append(run)
@@ -241,10 +263,18 @@ def merge_posting_streams(
                     live.remove(run)
             level = next_level
         factories_r = [_run_stream_factory(device, run, label) for run in level]
-        yield from _heap_merge(device, factories_r, dedup)
+        for ids in _heap_merge(device, factories_r, dedup, window):
+            if len(ids) < window:
+                # The short last list: hand it out once the runs are
+                # freed, as a per-ID consumer would see it.
+                tail = ids
+            else:
+                yield ids
     finally:
         for run in live:
             run.free(device)
+    if tail:
+        yield tail
 
 
 def _run_stream_factory(device: SmartUsbDevice, run: Run, label: str):
@@ -256,10 +286,21 @@ def _run_stream_factory(device: SmartUsbDevice, run: Run, label: str):
     return open_stream
 
 
-def _heap_merge(device: SmartUsbDevice, factories, dedup: bool):
-    """K-way merge of the streams produced by ``factories``."""
+def _heap_merge(device: SmartUsbDevice, factories, dedup: bool, window: int):
+    """K-way merge of the streams produced by ``factories``, in lists of
+    up to ``window`` IDs.
+
+    A list ends right after its ``window``-th ID, before the stream it
+    came from advances, exactly where a per-ID consumer would stop.  The
+    merge steps are counted locally and charged once per list, before it
+    is yielded (and on any exit), so the clock reads as if each step
+    were charged on its own.
+    """
     streams = []
     closers = []
+    steps = 0
+    out: list[int] = []
+    chip = device.chip
     try:
         for factory in factories:
             iterator, closer = factory()
@@ -271,16 +312,26 @@ def _heap_merge(device: SmartUsbDevice, factories, dedup: bool):
             if first is not None:
                 heap.append((first, idx))
         heapq.heapify(heap)
+        heappop, heappush = heapq.heappop, heapq.heappush
         last = None
         while heap:
-            value, idx = heapq.heappop(heap)
-            device.chip.charge("merge_step")
+            value, idx = heappop(heap)
+            steps += 1
             if not (dedup and value == last):
-                yield value
+                out.append(value)
                 last = value
+                if len(out) >= window:
+                    chip.charge("merge_step", steps)
+                    steps = 0
+                    yield out
+                    out = []
             nxt = next(streams[idx], None)
             if nxt is not None:
-                heapq.heappush(heap, (nxt, idx))
+                heappush(heap, (nxt, idx))
     finally:
+        if steps:
+            chip.charge("merge_step", steps)
         for closer in closers:
             closer()
+    if out:
+        yield out

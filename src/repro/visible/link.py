@@ -178,7 +178,7 @@ class DeviceLink:
                         f"{kind} transfer failed after {MAX_RETRIES} "
                         f"retries ({reason})"
                     ) from exc
-                self.device.clock.advance(
+                self.device.clock.stall(
                     RETRY_BACKOFF_S * (2 ** (attempt - 1)), "usb"
                 )
 

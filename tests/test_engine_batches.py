@@ -8,7 +8,6 @@ per-tuple run (``exec_batch=1``) is the reference semantics the old
 Volcano pipeline implemented.
 """
 
-import math
 import random
 
 import pytest
@@ -21,8 +20,10 @@ from repro.engine.operators import ExecContext, MergeIntersectOp, Operator
 from repro.engine.operators.base import TimeAttribution
 from repro.hardware.device import SmartUsbDevice
 from repro.optimizer.space import Strategy
+from repro.workload import DatasetConfig, MedicalDataGenerator
 from repro.workload.queries import (
     DEMO_SCHEMA_DDL,
+    QUERY_FAMILIES,
     demo_query,
     query_purpose_only,
 )
@@ -86,15 +87,50 @@ def test_batch_sizes_equivalent_on_random_queries(seed):
             label = f"seed={seed} batch={batch} query#{q}"
             assert rows == ref_rows, label
             assert hardware_counters(m) == hardware_counters(ref_m), label
-            # Simulated seconds are float *sums* of identical charges;
-            # summation order may differ across window sizes, so allow
-            # ulp-scale drift but nothing more.
-            assert math.isclose(
-                m.elapsed_seconds,
-                ref_m.elapsed_seconds,
-                rel_tol=1e-9,
-                abs_tol=1e-12,
-            ), label
+            # The clock counts exact integers, so per-window charging
+            # reads bit-identically to per-tuple charging.
+            assert m.elapsed_seconds == ref_m.elapsed_seconds, label
+            assert m.time == ref_m.time, label
+
+
+# ---------------------------------------------------------------------------
+# Per-window charging stays inside the operator's own windows.
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def family_runs():
+    """Every query family at 1 000 prescriptions, per window size."""
+    data = MedicalDataGenerator(
+        DatasetConfig(n_prescriptions=1000, seed=2007)
+    ).generate()
+    runs = {}
+    for batch in (1, 256):
+        db = session_with_batch(batch)
+        for statement in DEMO_SCHEMA_DDL:
+            db.execute(statement)
+        db.load(data)
+        for family, sql in QUERY_FAMILIES.items():
+            db.reset_measurements()
+            runs[batch, family] = db.query(sql).metrics
+    return runs
+
+
+@pytest.mark.parametrize("family", sorted(QUERY_FAMILIES))
+def test_project_attribution_independent_of_window(family_runs, family):
+    """The projection counts its decodes and compares per window; a
+    charge that crossed a window mark would move time between it and
+    its child.  Its stats must not depend on the window size."""
+    per_tuple, windowed = (
+        next(op for op in family_runs[batch, family].operators
+             if op.name == "project")
+        for batch in (1, 256)
+    )
+    assert windowed.flash_page_reads == per_tuple.flash_page_reads
+    assert windowed.usb_messages == per_tuple.usb_messages
+    assert windowed.self_seconds == pytest.approx(
+        per_tuple.self_seconds, rel=1e-12, abs=1e-15
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ def test_charge_advances_clock_by_cycles():
     chip = SecureChip(profile=DEMO_DEVICE, clock=SimClock())
     chip.charge("compare", 10)
     expected = CYCLES["compare"] * 10 / DEMO_DEVICE.cpu_hz
-    assert chip.clock.now == pytest.approx(expected)
+    assert chip.clock.now == expected
     assert chip.stats.total_cycles == CYCLES["compare"] * 10
 
 
@@ -42,7 +42,7 @@ def test_device_assembles_shared_clock():
     breakdown = device.clock.breakdown()
     assert breakdown.flash_write > 0
     assert breakdown.cpu > 0
-    assert device.clock.now == pytest.approx(breakdown.total)
+    assert device.clock.now == breakdown.total
 
 
 def test_device_ram_capacity_follows_profile():

@@ -19,22 +19,24 @@ def test_transfer_returns_payload(channel):
 
 def test_transfer_time_matches_throughput(channel):
     payload = b"x" * 12_000
-    t0 = channel.clock.now
     channel.transfer(Direction.TO_DEVICE, "ids", payload)
-    elapsed = channel.clock.now - t0
     expected = DEMO_DEVICE.usb_setup_s + len(payload) * 8 / DEMO_DEVICE.usb_bits_per_s
-    assert elapsed == pytest.approx(expected)
+    assert channel.clock.now == expected
 
 
 def test_high_speed_profile_is_40x_faster_per_byte():
-    slow = UsbChannel(profile=DEMO_DEVICE, clock=SimClock())
-    fast = UsbChannel(profile=HIGH_SPEED_DEVICE, clock=SimClock())
+    slow = UsbChannel(profile=DEMO_DEVICE, clock=SimClock(DEMO_DEVICE))
+    fast = UsbChannel(
+        profile=HIGH_SPEED_DEVICE, clock=SimClock(HIGH_SPEED_DEVICE)
+    )
     payload = b"x" * 1_000_000
     slow.transfer(Direction.TO_DEVICE, "ids", payload)
     fast.transfer(Direction.TO_DEVICE, "ids", payload)
     slow_bytes_time = slow.clock.now - DEMO_DEVICE.usb_setup_s
     fast_bytes_time = fast.clock.now - HIGH_SPEED_DEVICE.usb_setup_s
     assert slow_bytes_time / fast_bytes_time == pytest.approx(40.0)
+    # The conversion is exact: 8 Mbit at 480 Mb/s, plus one setup.
+    assert fast.clock.now == HIGH_SPEED_DEVICE.usb_setup_s + 8e6 / 480e6
 
 
 def test_every_message_is_captured(channel):
@@ -114,11 +116,10 @@ def test_fault_injection_stall_charges_clock(channel):
         name="all-stall", usb_stall_rate=1.0, usb_stall_seconds=0.25
     )
     channel.faults = FaultInjector(profile, seed=0)
-    t0 = channel.clock.now
     delivered = channel.transfer(Direction.TO_DEVICE, "ids", b"\x01\x02")
     assert delivered == b"\x01\x02"  # late but intact
     base = DEMO_DEVICE.usb_setup_s + 2 * 8 / DEMO_DEVICE.usb_bits_per_s
-    assert channel.clock.now - t0 == pytest.approx(base + 0.25)
+    assert channel.clock.now == base + 0.25
 
 
 def test_clear_log_resets_capture_not_clock(channel):

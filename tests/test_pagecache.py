@@ -14,7 +14,6 @@ Three layers of guarantees:
   power-cut recovery (cached contents are volatile RAM).
 """
 
-import math
 import random
 
 import pytest
@@ -340,12 +339,8 @@ def test_cache_and_batch_sweep_on_random_queries(seed):
                     ref_m.cache_hits,
                     ref_m.cache_misses,
                 ), label
-                assert math.isclose(
-                    m.elapsed_seconds,
-                    ref_m.elapsed_seconds,
-                    rel_tol=1e-9,
-                    abs_tol=1e-12,
-                ), label
+                assert m.elapsed_seconds == ref_m.elapsed_seconds, label
+                assert m.time == ref_m.time, label
 
 
 def test_disabled_cache_records_no_lookups(fresh_session):
